@@ -20,7 +20,7 @@ from .cmdegree import (
 )
 from .combinatorics import bernoulli, falling, stirling2, zeta_even
 from .errors import BracketError, DomainError, IntegrationError
-from .gammakit import GammaEval, binet_check, ln_gamma, polygamma, psi_integral_check
+from .gammakit import GammaEval, ln_gamma, polygamma
 from .kernels import (
     KernelSpec,
     Remark1Chain,
@@ -28,25 +28,19 @@ from .kernels import (
     K_kernel,
     bose_derivative,
     f_kernel,
-    f_kernel_deriv,
     remark1_chain,
     sign_scan,
 )
-from .precision import PrecisionContext, elem
+from .precision import GridSpec, PrecisionContext
 from .quadrature import (
     DEFAULT_BUDGET,
-    GridSpec,
     IntegralResult,
-    Remark3Report,
     bose_moment,
     cos_kernel_integral,
     laplace,
-    remark3_inequalities,
     sin_kernel_integral,
-    verify_degree_representation,
 )
 from .remainders import (
-    RemainderSpec,
     TailLimitEntry,
     TailLimits,
     ratio_bound,
@@ -56,6 +50,13 @@ from .remainders import (
     remainder_deriv,
     tail_limits,
 )
+from .verify import (
+    Remark3Report,
+    binet_check,
+    psi_integral_check,
+    remark3_inequalities,
+    verify_degree_representation,
+)
 
 __version__ = "0.1.0"
 
@@ -63,7 +64,7 @@ __all__ = [
     "__version__",
     # precision
     "PrecisionContext",
-    "elem",
+    "GridSpec",
     # errors
     "DomainError",
     "IntegrationError",
@@ -77,12 +78,9 @@ __all__ = [
     "GammaEval",
     "ln_gamma",
     "polygamma",
-    "binet_check",
-    "psi_integral_check",
     # kernels
     "KernelSpec",
     "f_kernel",
-    "f_kernel_deriv",
     "bose_derivative",
     "K_kernel",
     "Remark1Chain",
@@ -91,17 +89,12 @@ __all__ = [
     "sign_scan",
     # quadrature
     "IntegralResult",
-    "GridSpec",
     "laplace",
     "bose_moment",
     "cos_kernel_integral",
     "sin_kernel_integral",
-    "verify_degree_representation",
-    "Remark3Report",
-    "remark3_inequalities",
     "DEFAULT_BUDGET",
     # remainders
-    "RemainderSpec",
     "remainder",
     "remainder_d1",
     "remainder_d2",
@@ -120,4 +113,10 @@ __all__ = [
     "first_deriv_bound",
     "degree_estimate",
     "conjecture_probe",
+    # identity checks
+    "binet_check",
+    "psi_integral_check",
+    "verify_degree_representation",
+    "Remark3Report",
+    "remark3_inequalities",
 ]

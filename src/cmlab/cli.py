@@ -9,7 +9,8 @@ Three subcommands:
   (always JSON)
 
 Output is deterministic: keys are sorted, numbers are printed to 25
-significant digits, and no timestamps or machine details are embedded.
+significant digits (or ``--digits``, if that is fewer), and no timestamps
+or machine details are embedded.
 
 Exit codes: 0 success, 1 at least one verification record failed,
 2 usage error, 3 domain error, 4 degree bracketing failed.
@@ -20,48 +21,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .cmdegree import builtin_families, degree_estimate
-from .combinatorics import bernoulli
 from .errors import BracketError, DomainError, IntegrationError
-from .gammakit import binet_check, ln_gamma, polygamma, psi_integral_check
-from .kernels import K_kernel, f_kernel, remark1_chain
-from .precision import PrecisionContext
-from .quadrature import (
-    GridSpec,
-    bose_moment,
-    remark3_inequalities,
-    sin_kernel_integral,
-    verify_degree_representation,
-)
-from .remainders import remainder, remainder_d1, remainder_d2, tail_limits
+from .gammakit import ln_gamma, polygamma
+from .kernels import K_kernel, f_kernel
+from .precision import GridSpec, PrecisionContext
+from .remainders import remainder, remainder_d1, remainder_d2
+from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
 _EVAL_HEADS = ("lngamma", "psi", "phi", "polygamma", "R", "R1", "R2", "f", "K")
 _KERNEL_HEADS = ("f", "K")
-_SUITES = (
-    "binet",
-    "psi-integral",
-    "bose",
-    "laplace-rep",
-    "remark1",
-    "remark2",
-    "remark3",
-    "remark4",
-)
-_ANCHORS = {
-    "binet": "binet-integral",
-    "psi-integral": "psi-log-integral",
-    "bose": "bose-moment-closed-form",
-    "laplace-rep": "laplace-representation",
-    "remark1": "kernel-chain-derivatives",
-    "remark2": "sin-moment-positivity",
-    "remark3": "cos-moment-bound",
-    "remark4": "tail-limit-powers",
-}
+# verify record fields that hold numbers
+_NUMBER_FIELDS = ("max_deviation", "tolerance", "value")
 
 
 class UsageError(Exception):
@@ -69,11 +44,11 @@ class UsageError(Exception):
 
 
 def _fmt(ctx: PrecisionContext, x) -> str:
-    """25 significant digits, always scientific notation."""
+    """min(25, digits) significant digits, always scientific notation."""
     x = ctx.mpf(x)
     if x == 0:
         return "0.0"
-    return ctx._mp.nstr(x, 25, min_fixed=1, max_fixed=0, strip_zeros=False)
+    return ctx._mp.nstr(x, min(25, ctx.digits), min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
 def _emit(text: str, out_path):
@@ -238,226 +213,20 @@ def _cmd_degree(args) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _record(ctx, name, anchor, max_dev, tol, passed, **extra):
-    rec = {
-        "name": name,
-        "paper_anchor": anchor,
-        "max_deviation": _fmt(ctx, max_dev),
-        "tolerance": _fmt(ctx, tol),
-        "pass": bool(passed),
+def _format_record(ctx, rec):
+    return {
+        key: _fmt(ctx, val) if key in _NUMBER_FIELDS and not isinstance(val, str) else val
+        for key, val in rec.items()
     }
-    rec.update(extra)
-    return rec
-
-
-def _suite_binet(ctx, quick, find_negative):
-    ts = ("1", "10") if quick else ("0.5", "1", "2", "10", "100")
-    dev = max(binet_check(ctx, ctx.mpf(t)) for t in ts)
-    tol = ctx.mpf(10) ** (-(ctx.digits - 20))
-    return [_record(ctx, "binet", _ANCHORS["binet"], dev, tol, dev <= tol, points=len(ts))]
-
-
-def _suite_psi_integral(ctx, quick, find_negative):
-    ts = ("1", "10") if quick else ("0.5", "1", "2", "10", "100")
-    dev = max(psi_integral_check(ctx, ctx.mpf(t)) for t in ts)
-    tol = ctx.mpf(10) ** (-(ctx.digits - 20))
-    return [
-        _record(ctx, "psi-integral", _ANCHORS["psi-integral"], dev, tol, dev <= tol, points=len(ts))
-    ]
-
-
-def _suite_bose(ctx, quick, find_negative):
-    ks = (1, 2, 3) if quick else (1, 2, 3, 4, 5, 6)
-    tol_q = ctx.mpf(10) ** (-(ctx.digits - 15))
-    dev = ctx.mpf(0)
-    for k in ks:
-        exact = Fraction(bernoulli(2 * k), 4 * k)
-        if k % 2 == 0:
-            exact = -exact
-        moment = bose_moment(ctx, 2 * k - 1, tol_q)
-        dev = max(dev, abs(moment.value - ctx.mpf(exact)))
-    tol = ctx.mpf(10) ** (-(ctx.digits - 20))
-    return [_record(ctx, "bose", _ANCHORS["bose"], dev, tol, dev <= tol, moments=len(ks))]
-
-
-def _suite_laplace_rep(ctx, quick, find_negative):
-    combos = ((1, "10"),) if quick else ((1, "1"), (1, "10"), (2, "10"))
-    tol = ctx.mpf(10) ** (-15)
-    dev = max(verify_degree_representation(ctx, n, ctx.mpf(t), tol) for n, t in combos)
-    return [
-        _record(
-            ctx,
-            "laplace-rep",
-            _ANCHORS["laplace-rep"],
-            dev,
-            tol,
-            dev <= tol,
-            cases=len(combos),
-        )
-    ]
-
-
-def _suite_remark1(ctx, quick, find_negative):
-    chain = remark1_chain(ctx, ctx.mpf("1e-6"))
-    dev = max(abs(e) for e in chain.vanishing)
-    tol = ctx.mpf(10) ** (-15)
-    recs = [
-        _record(ctx, "remark1-vanishing", _ANCHORS["remark1"], dev, tol, dev <= tol)
-    ]
-    count = 40 if quick else 100
-    low = min(remark1_chain(ctx, v).expr5 for v in GridSpec(1e-3, 30.0, count).points(ctx))
-    shortfall = -low if low < 0 else ctx.mpf(0)
-    recs.append(
-        _record(
-            ctx,
-            "remark1-positivity",
-            _ANCHORS["remark1"],
-            shortfall,
-            0,
-            low > 0,
-            points=count,
-        )
-    )
-    return recs
-
-
-def _suite_remark2(ctx, quick, find_negative):
-    ss = ("1", "5") if quick else ("0.5", "1", "5", "20")
-    tol_q = ctx.mpf(10) ** (-25)
-    low = min(sin_kernel_integral(ctx, 2, ctx.mpf(s), tol_q).value for s in ss)
-    shortfall = -low if low < 0 else ctx.mpf(0)
-    tol = ctx.mpf(10) ** (-20)
-    recs = [
-        _record(
-            ctx,
-            "remark2-nonnegative",
-            _ANCHORS["remark2"],
-            shortfall,
-            tol,
-            shortfall <= tol,
-            points=len(ss),
-        )
-    ]
-    if find_negative:
-        found = None
-        tol_scan = ctx.mpf(10) ** (-15)
-        for s in range(1, 31):
-            val = sin_kernel_integral(ctx, 4, ctx.mpf(s), tol_scan).value
-            if val < -ctx.mpf(10) ** (-8):
-                found = (s, val)
-                break
-        if found:
-            recs.append(
-                _record(
-                    ctx,
-                    "remark2-negative-case",
-                    _ANCHORS["remark2"],
-                    0,
-                    0,
-                    True,
-                    s=str(found[0]),
-                    value=_fmt(ctx, found[1]),
-                )
-            )
-        else:
-            recs.append(
-                _record(
-                    ctx,
-                    "remark2-negative-case",
-                    _ANCHORS["remark2"],
-                    0,
-                    0,
-                    False,
-                    note="no negative fourth-power moment located for s in 1..30",
-                )
-            )
-    return recs
-
-
-def _suite_remark3(ctx, quick, find_negative):
-    ns = (1, 2) if quick else (1, 2, 3, 4)
-    grid = GridSpec(1e-2, 1e2, 50 if quick else 200)
-    recs = []
-    for n in ns:
-        rep = remark3_inequalities(ctx, n, grid)
-        shortfall = ctx.mpf(0)
-        for margin in rep.min_margin:
-            if margin < 0 and -margin > shortfall:
-                shortfall = -margin
-        recs.append(
-            _record(
-                ctx,
-                "remark3-n%d" % n,
-                _ANCHORS["remark3"],
-                shortfall,
-                0,
-                rep.all_hold,
-                violations=len(rep.violations),
-            )
-        )
-        if n == 1:
-            exact_ok = rep.bound_exact == Fraction(1, 24)
-            recs.append(
-                _record(
-                    ctx,
-                    "remark3-exact-bound",
-                    _ANCHORS["remark3"],
-                    0 if exact_ok else 1,
-                    0,
-                    exact_ok,
-                    bound=str(rep.bound_exact),
-                )
-            )
-    return recs
-
-
-def _suite_remark4(ctx, quick, find_negative):
-    ns = (1,) if quick else (1, 2, 3)
-    tol = ctx.mpf(10) ** (-6)
-    recs = []
-    for n in ns:
-        limits = tail_limits(ctx, n)
-        dev = max(e.deviation / (1 + abs(e.target_value)) for e in limits.entries)
-        recs.append(
-            _record(ctx, "remark4-n%d" % n, _ANCHORS["remark4"], dev, tol, dev <= tol)
-        )
-    return recs
-
-
-_SUITE_FUNCS = {
-    "binet": _suite_binet,
-    "psi-integral": _suite_psi_integral,
-    "bose": _suite_bose,
-    "laplace-rep": _suite_laplace_rep,
-    "remark1": _suite_remark1,
-    "remark2": _suite_remark2,
-    "remark3": _suite_remark3,
-    "remark4": _suite_remark4,
-}
-
-
-def _run_suite(ctx, name, quick, find_negative):
-    try:
-        return _SUITE_FUNCS[name](ctx, quick, find_negative)
-    except IntegrationError as exc:
-        return [
-            {
-                "name": name,
-                "paper_anchor": _ANCHORS[name],
-                "max_deviation": "",
-                "tolerance": "",
-                "pass": False,
-                "note": "integration budget exhausted: %s" % exc,
-            }
-        ]
 
 
 def _cmd_verify(args) -> int:
     ctx = PrecisionContext(args.digits)
-    suites = _SUITES if args.suite == "all" else (args.suite,)
+    suites = tuple(SUITES) if args.suite == "all" else (args.suite,)
     records = []
     for name in suites:
-        records.extend(_run_suite(ctx, name, args.quick, args.find_negative))
+        for rec in run_suite(ctx, name, args.quick, args.find_negative):
+            records.append(_format_record(ctx, rec))
     records.sort(key=lambda r: r["name"])
     payload = {
         "config": {
@@ -515,7 +284,7 @@ def _build_parser():
     p_deg.add_argument("--grid", default="1e-10:1e3:400", help="a:b:count evaluation grid")
 
     p_ver = sub.add_parser("verify", parents=[common], help="run identity suites")
-    p_ver.add_argument("--suite", default="all", choices=_SUITES + ("all",))
+    p_ver.add_argument("--suite", default="all", choices=tuple(SUITES) + ("all",))
     p_ver.add_argument("--quick", action="store_true", help="reduced case lists")
     p_ver.add_argument(
         "--find-negative",

@@ -28,8 +28,7 @@ from typing import Callable, Optional
 
 from .errors import BracketError, DomainError
 from .gammakit import polygamma
-from .precision import PrecisionContext
-from .quadrature import GridSpec
+from .precision import GridSpec, PrecisionContext
 from .remainders import remainder_deriv
 
 __all__ = [

@@ -23,10 +23,8 @@ from fractions import Fraction
 from .combinatorics import bernoulli
 from .errors import DomainError
 from .precision import PrecisionContext
-from . import kernels
-from .quadrature import laplace
 
-__all__ = ["GammaEval", "ln_gamma", "polygamma", "binet_check", "psi_integral_check"]
+__all__ = ["GammaEval", "ln_gamma", "polygamma"]
 
 
 @dataclass
@@ -46,6 +44,7 @@ class GammaEval:
 
 # exact series coefficients per order: key -1 is ln-gamma, 0 is psi,
 # m >= 1 is psi^(m).  Entry k-1 multiplies the k-th reciprocal power.
+# The remainders read the same table for their subtracted partial sums.
 _FRAC_COEFF: dict = {}
 # (working digits, order) -> same coefficients as floats
 _MPF_COEFF: dict = {}
@@ -181,50 +180,3 @@ def polygamma(ctx: PrecisionContext, m: int, t) -> GammaEval:
             val -= (fm if m % 2 == 0 else -fm) * ssum
     return _wrap(ctx, t, m, val, trunc)
 
-
-# -- integral cross-checks ---------------------------------------------
-
-
-def binet_check(ctx: PrecisionContext, t):
-    """Deviation of ln Gamma(t) from its exponential-kernel integral form
-
-        (t - 1/2) ln t - t + ln(2 pi)/2 + int_0^inf g(u) e^{-tu} du,
-
-    where g(u) = (1/(e^u - 1) - 1/u + 1/2)/u is positive, decreasing and
-    bounded by g(0+) = 1/12.  Series evaluator on one side, quadrature on
-    the other; returns |difference|.
-    """
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("binet_check requires finite t > 0, got %s" % t0)
-    lhs = ln_gamma(ctx, t0).value
-    tol_q = ctx.mpf(10) ** (-(ctx.digits - 12))
-
-    def g(u):
-        return -kernels.f_kernel(ctx, 0, u) / u
-
-    quad = laplace(ctx, g, t0, tol_q, kernel_bound=ctx.mpf(1) / 12)
-    rhs = (t0 - ctx.mpf(1) / 2) * ctx.ln(t0) - t0 + ctx.ln(2 * ctx.pi) / 2 + quad.value
-    return abs(lhs - rhs)
-
-
-def psi_integral_check(ctx: PrecisionContext, t):
-    """Deviation of psi(t) from its exponential-kernel integral form
-
-        ln t - int_0^inf h(v) e^{-tv} dv,
-
-    where h(v) = 1/(1 - e^{-v}) - 1/v rises from 1/2 to 1.  Returns the
-    absolute difference between the series evaluator and the quadrature.
-    """
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("psi_integral_check requires finite t > 0, got %s" % t0)
-    lhs = polygamma(ctx, 0, t0).value
-    tol_q = ctx.mpf(10) ** (-(ctx.digits - 12))
-
-    def h(v):
-        return ctx.mpf(1) / 2 - kernels.f_kernel(ctx, 0, v)
-
-    quad = laplace(ctx, h, t0, tol_q, kernel_bound=ctx.mpf(1))
-    rhs = ctx.ln(t0) - quad.value
-    return abs(lhs - rhs)

@@ -25,13 +25,11 @@ from fractions import Fraction
 
 from .combinatorics import bernoulli, falling, stirling2
 from .errors import DomainError
-from .precision import PrecisionContext
-from .quadrature import GridSpec
+from .precision import GridSpec, PrecisionContext
 
 __all__ = [
     "KernelSpec",
     "f_kernel",
-    "f_kernel_deriv",
     "bose_derivative",
     "K_kernel",
     "Remark1Chain",
@@ -41,6 +39,7 @@ __all__ = [
 ]
 
 _SERIES_BRANCH = Fraction(1, 2)  # below this, Taylor series; above, closed form
+_SERIES_CAP = 300  # Taylor terms allowed before the series gives up
 _TWO_PI_FLOAT = 2 * math.pi
 
 
@@ -48,21 +47,17 @@ _TWO_PI_FLOAT = 2 * math.pi
 class KernelSpec:
     """Selects a kernel f_n and pins the evaluation branch.
 
-    ``form="series"`` is only valid for |v| < 2 pi; ``series_terms`` caps
-    the number of Taylor terms (the magnitude cutoff usually fires first).
+    ``form="series"`` is only valid for |v| < 2 pi.
     """
 
     n: int
     form: str = "auto"
-    series_terms: int = 200
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 0:
             raise DomainError("KernelSpec.n must be a non-negative integer, got %r" % (self.n,))
         if self.form not in ("auto", "closed", "series"):
             raise DomainError("KernelSpec.form must be auto/closed/series, got %r" % (self.form,))
-        if int(self.series_terms) < 1:
-            raise DomainError("KernelSpec.series_terms must be positive")
 
 
 # B_{2k}/(2k)! as exact fractions, index k-1
@@ -112,38 +107,20 @@ def f_kernel(ctx: PrecisionContext, n, v):
     if form == "series":
         if not v0 < 2 * ctx.pi:
             raise DomainError("series form of f_n is only valid for v < 2*pi, got %s" % v0)
-        return _f_series(ctx, spec.n, v0, 0, spec.series_terms)
-    return _f_closed(ctx, spec.n, v0, 0)
+        return _f_series(ctx, spec.n, v0, 0)
+    return _f_closed(ctx, spec.n, v0, 0, _closed_boost(2 * spec.n, float(v0)))
 
 
-def f_kernel_deriv(ctx: PrecisionContext, n: int, ell: int, v):
-    """d^ell/dv^ell of f_n at v > 0, via the exact derivative identities
-    (no numerical differentiation)."""
-    n = int(n)
-    ell = int(ell)
-    if n < 0 or ell < 0:
-        raise DomainError("f_kernel_deriv requires n >= 0 and ell >= 0")
-    v0 = ctx.mpf(v)
-    if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("f_kernel_deriv requires v > 0, got %s" % v0)
-    if v0 < ctx.mpf(_SERIES_BRANCH):
-        return _f_series(ctx, n, v0, ell, 200)
-    return _f_closed(ctx, n, v0, ell)
-
-
-def _f_series(ctx, n, v, ell, cap):
-    """(-1)^{n+1} sum_{k>=n+1} B_{2k}/(2k)! * <2k-1>_ell * v^{2k-1-ell}."""
+def _f_series(ctx, n, v, ell):
+    """d^ell/dv^ell of f_n by its Taylor series, for ell <= 2n+1:
+    (-1)^{n+1} sum_{k>=n+1} B_{2k}/(2k)! * <2k-1>_ell * v^{2k-1-ell}."""
     stop = ctx.mpf(10) ** (-(ctx.digits + 5))
     v2 = v * v
     total = ctx.mpf(0)
     k = n + 1
-    # first exponent 2k-1-ell can be negative only if ell > 2n+1; those
-    # falling factorials vanish up to the first k with 2k-1 >= ell
-    while 2 * k - 1 < ell:
-        k += 1
     vpow = v ** (2 * k - 1 - ell)
     count = 0
-    while count < cap:
+    while count < _SERIES_CAP:
         coeff = _b_over_fact(k) * falling(2 * k - 1, ell)
         term = ctx.mpf(coeff) * vpow
         total += term
@@ -154,14 +131,17 @@ def _f_series(ctx, n, v, ell, cap):
         count += 1
     else:
         raise DomainError(
-            "series for f_%d^(%d) did not reach the cutoff within %d terms" % (n, ell, cap)
+            "series for f_%d^(%d) did not reach the cutoff within %d terms"
+            % (n, ell, _SERIES_CAP)
         )
     sign = -1 if n % 2 == 0 else 1
     return sign * total
 
 
-def _f_closed(ctx, n, v, ell):
-    wctx = ctx.boosted(_closed_boost(2 * n + ell, float(v)))
+def _f_closed(ctx, n, v, ell, boost):
+    """d^ell/dv^ell of f_n by its closed form, under ``boost`` extra digits
+    (derivative of 1/v exactly, Bose factor via the Stirling identity)."""
+    wctx = ctx.boosted(boost)
     vv = wctx.mpf(v)
     if ell == 0:
         acc = _c_closed(wctx, vv)
@@ -226,36 +206,14 @@ def K_kernel(ctx: PrecisionContext, m: int, v):
     v0 = ctx.mpf(v)
     if not (ctx.isfinite(v0) and v0 > 0):
         raise DomainError("K_kernel requires v > 0, got %s" % v0)
+    # K_m = (-1)^n f_n^(m) with n = (m+1)//2: the falling factorials in
+    # f_n^(m) kill every k < n term, and for odd m = 2n-1 the k = n term is
+    # exactly the added constant, while for even m it vanishes too
     n = (m + 1) // 2
+    sign = 1 if n % 2 == 0 else -1
     if v0 < ctx.mpf(_SERIES_BRANCH):
-        # the k = n series term exactly cancels the odd-m constant, and
-        # even-m falling factorials kill every k <= n term, so both cases
-        # reduce to the same tail starting at k = n+1
-        return _k_series(ctx, m, n, v0)
-    wctx = ctx.boosted(_closed_boost(m + 1, float(v0)))
-    vv = wctx.mpf(v0)
-    sign_m = 1 if m % 2 == 0 else -1
-    acc = sign_m * wctx.mpf(math.factorial(m)) / vv ** (m + 1)
-    acc -= bose_derivative(wctx, m, vv)
-    if m % 2 == 1:
-        acc += wctx.mpf(Fraction(bernoulli(2 * n), 2 * n))
-    return ctx.mpf(acc)
-
-
-def _k_series(ctx, m, n, v):
-    stop = ctx.mpf(10) ** (-(ctx.digits + 5))
-    v2 = v * v
-    total = ctx.mpf(0)
-    k = n + 1
-    vpow = v ** (2 * k - 1 - m)
-    for _ in range(300):
-        term = ctx.mpf(_b_over_fact(k) * falling(2 * k - 1, m)) * vpow
-        total += term
-        if abs(term) < stop:
-            return -total
-        vpow *= v2
-        k += 1
-    raise DomainError("series for K_%d did not converge" % m)
+        return sign * _f_series(ctx, n, v0, m)
+    return sign * _f_closed(ctx, n, v0, m, _closed_boost(m + 1, float(v0)))
 
 
 @dataclass

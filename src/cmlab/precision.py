@@ -5,23 +5,23 @@ computations at different precisions never interfere through global state
 and results are reproducible regardless of evaluation order or threading.
 
 Precision is an explicit parameter threaded through every call in this
-package; nothing reads an ambient global.
+package; nothing reads an ambient global.  :class:`GridSpec`, the
+log-spaced point grid that kernels, the degree machinery and the identity
+suites scan, lives here too, since its points are built under a context.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError
 
-__all__ = ["PrecisionContext", "elem"]
+__all__ = ["PrecisionContext", "GridSpec"]
 
 MIN_DIGITS = 15
-
-#: functions evaluable through :func:`elem`
-ELEM_FUNCTIONS = ("exp", "ln", "sin", "cos", "coth", "pow")
 
 
 class PrecisionContext:
@@ -123,20 +123,27 @@ class PrecisionContext:
         return value
 
 
-def elem(ctx: PrecisionContext, which: str, *args):
-    """Evaluate an elementary function under ``ctx``.
+@dataclass(frozen=True)
+class GridSpec:
+    """A log-spaced evaluation grid on (0, inf)."""
 
-    ``which`` is one of ``exp, ln, sin, cos, coth, pow``; ``pow`` takes two
-    arguments (positive base, arbitrary real exponent), the rest take one.
-    Domain violations raise :class:`DomainError` naming the function and
-    the offending argument.
-    """
-    if which not in ELEM_FUNCTIONS:
-        raise DomainError("unknown elementary function %r" % (which,))
-    if which == "pow":
-        if len(args) != 2:
-            raise DomainError("pow takes exactly 2 arguments, got %d" % len(args))
-        return ctx.power(args[0], args[1])
-    if len(args) != 1:
-        raise DomainError("%s takes exactly 1 argument, got %d" % (which, len(args)))
-    return getattr(ctx, which)(args[0])
+    t_min: object
+    t_max: object
+    count: int
+
+    def __post_init__(self):
+        if float(self.t_min) <= 0:
+            raise DomainError("GridSpec requires t_min > 0, got %s" % (self.t_min,))
+        if not float(self.t_min) < float(self.t_max):
+            raise DomainError(
+                "GridSpec requires t_min < t_max, got [%s, %s]" % (self.t_min, self.t_max)
+            )
+        if int(self.count) < 2:
+            raise DomainError("GridSpec requires count >= 2, got %s" % (self.count,))
+
+    def points(self, ctx: PrecisionContext):
+        lo = ctx.ln(ctx.mpf(self.t_min))
+        hi = ctx.ln(ctx.mpf(self.t_max))
+        n = int(self.count)
+        step = (hi - lo) / (n - 1)
+        return [ctx.exp(lo + k * step) for k in range(n)]

@@ -7,8 +7,8 @@ Covers the four integral shapes the package needs:
 * the cosine kernel   int_0^inf w^{2n-1}[1-cos(wv)]/(e^{2 pi w}-1) dw
 * the sine moments    int_0^inf u^p sin(su)/(e^u - 1) du
 
-The engine is deliberately simple and certifiable: panels integrated by a
-*nested pair* of Gauss-Legendre rules (the two results must agree to the
+The engine is deliberately simple and certifiable: panels integrated by
+*nested pairs* of Gauss-Legendre rules (a rising pair must agree to the
 panel tolerance, otherwise the panel is bisected), plus analytic
 exponential tail bounds for the cutoff.  Oscillatory integrands get panels
 aligned to half-periods so each panel is smooth and non-oscillatory.
@@ -20,25 +20,21 @@ as 2 sin^2(x/2), and 1/(e^x - 1) always goes through expm1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from mpmath.calculus.quadrature import GaussLegendre
 
+from .combinatorics import bernoulli
 from .errors import DomainError, IntegrationError
 from .precision import PrecisionContext
 
 __all__ = [
     "IntegralResult",
-    "GridSpec",
     "laplace",
     "bose_moment",
     "cos_kernel_integral",
     "sin_kernel_integral",
-    "verify_degree_representation",
-    "remark3_inequalities",
-    "Remark3Report",
     "DEFAULT_BUDGET",
 ]
 
@@ -60,35 +56,6 @@ class IntegralResult:
     value: object
     est_error: object
     evaluations: int
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A log-spaced evaluation grid on (0, inf)."""
-
-    t_min: object
-    t_max: object
-    count: int
-    spacing: str = "log"
-
-    def __post_init__(self):
-        if float(self.t_min) <= 0:
-            raise DomainError("GridSpec requires t_min > 0, got %s" % (self.t_min,))
-        if not float(self.t_min) < float(self.t_max):
-            raise DomainError(
-                "GridSpec requires t_min < t_max, got [%s, %s]" % (self.t_min, self.t_max)
-            )
-        if int(self.count) < 2:
-            raise DomainError("GridSpec requires count >= 2, got %s" % (self.count,))
-        if self.spacing != "log":
-            raise DomainError("GridSpec supports only log spacing, got %r" % (self.spacing,))
-
-    def points(self, ctx: PrecisionContext):
-        lo = ctx.ln(ctx.mpf(self.t_min))
-        hi = ctx.ln(ctx.mpf(self.t_max))
-        n = int(self.count)
-        step = (hi - lo) / (n - 1)
-        return [ctx.exp(lo + k * step) for k in range(n)]
 
 
 class _Budget:
@@ -136,15 +103,16 @@ def _panel(ctx, f, a, b, budget, degree):
 
 
 def _integrate_panel(ctx, f, a, b, panel_tol, budget, degree=5, depth=0):
-    """Nested-pair panel integral: accepted when rules of consecutive
-    degree agree, else the panel is bisected (error bounds then add)."""
-    lo = _panel(ctx, f, a, b, budget, degree)
-    hi = _panel(ctx, f, a, b, budget, degree + 1)
-    diff = abs(hi - lo)
-    # rounding floor: below this level the disagreement is noise, not signal
-    floor = 10 * ctx.eps * (1 + abs(hi))
-    if diff <= panel_tol or diff <= floor:
-        return hi, diff
+    """Nested-pair panel integral: pairs of consecutive degree climb from
+    degree-2 until two rules agree, else the panel is bisected (bounds add)."""
+    hi = _panel(ctx, f, a, b, budget, degree - 2)
+    for d in range(degree - 1, degree + 2):
+        lo, hi = hi, _panel(ctx, f, a, b, budget, d)
+        diff = abs(hi - lo)
+        # rounding floor: below this level the disagreement is noise, not signal
+        floor = 10 * ctx.eps * (1 + abs(hi))
+        if diff <= panel_tol or diff <= floor:
+            return hi, diff
     if depth >= _MAX_SPLIT_DEPTH:
         raise IntegrationError(
             "panel [%s, %s] did not converge after %d bisections" % (a, b, depth),
@@ -286,7 +254,7 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
 
     idx = 0
     while True:
-        b = _next_dyadic(ctx, a)
+        b = ctx.mpf(1) / 2 if a == 0 else 2 * a  # 1/2 after 0, else double
         panel_tol = tol / ctx.mpf(2) ** (idx + 3)
         val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud)
         total += val
@@ -306,13 +274,6 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
     return IntegralResult(total, err, bud.used)
 
 
-def _next_dyadic(ctx, a):
-    """Panel endpoints 0 (or 1/8), then doubling: 1/4, 1/2, 1, 2, 4, ..."""
-    if a == 0:
-        return ctx.mpf(1) / 2
-    return 2 * a
-
-
 def _bose_corner_series(ctx, s, w0, tol):
     """int_0^{w0} w^s/(e^{2 pi w}-1) dw by the generating-function series
 
@@ -322,8 +283,6 @@ def _bose_corner_series(ctx, s, w0, tol):
     Valid for 2 pi w0 < 2 pi; with w0 = 1/8 the term ratio is below 1/7 so
     convergence is geometric and the tail is bounded by the last term.
     """
-    from .combinatorics import bernoulli  # local import: keeps module deps one-way
-
     two_pi = 2 * ctx.pi
     total = ctx.mpf(0)
     jfact = 1
@@ -369,8 +328,6 @@ def cos_kernel_integral(
         raise DomainError("cos_kernel_integral requires v >= 0, got %s" % v)
     if v == 0:
         return IntegralResult(ctx.mpf(0), ctx.mpf(0), 0)
-    tol = ctx.mpf(tol)
-    bud = _Budget(budget)
     two_pi = 2 * ctx.pi
     p = 2 * n - 1
 
@@ -378,26 +335,7 @@ def cos_kernel_integral(
         sh = ctx.sin(w * v / 2)
         return ctx.power(w, p) * 2 * sh * sh / ctx.expm1(two_pi * w)
 
-    width = min(ctx.mpf(1), ctx.pi / v)
-    n_est = _estimate_panels(float(tol), p, 2 * math.pi, float(width))
-    panel_tol = tol / (8 * n_est)
-
-    total = ctx.mpf(0)
-    err = ctx.mpf(0)
-    a = ctx.mpf(0)
-    while True:
-        b = a + width
-        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree=4)
-        total += val
-        err += perr
-        env = _exp_tail_bound(ctx, b, p, two_pi)
-        if env is not None:
-            tail = 2 * env / (1 - ctx.exp(-two_pi * b))
-            if tail < tol / 4:
-                err += tail
-                break
-        a = b
-    return IntegralResult(total, err, bud.used)
+    return _half_period_panels(ctx, integrand, v, p, two_pi, 2, tol, budget)
 
 
 def sin_kernel_integral(
@@ -415,14 +353,22 @@ def sin_kernel_integral(
     s = ctx.mpf(s)
     if s <= 0:
         raise DomainError("sin_kernel_integral requires s > 0, got %s" % s)
-    tol = ctx.mpf(tol)
-    bud = _Budget(budget)
 
     def integrand(u):
         return ctx.power(u, p) * ctx.sin(s * u) / ctx.expm1(u)
 
-    width = min(ctx.mpf(1), ctx.pi / s)
-    n_est = _estimate_panels(float(tol), p, 1.0, float(width))
+    return _half_period_panels(ctx, integrand, s, p, 1, 1, tol, budget)
+
+
+def _half_period_panels(ctx, integrand, freq, p, rate, amp, tol, budget):
+    """int_0^inf of an integrand oscillating at angular frequency ``freq``
+    and bounded by amp u^p / (e^{rate u} - 1): panels one half-period wide
+    (capped at 1), until the exponential envelope of the rest drops below
+    tol/4."""
+    tol = ctx.mpf(tol)
+    bud = _Budget(budget)
+    width = min(ctx.mpf(1), ctx.pi / freq)
+    n_est = _estimate_panels(float(tol), p, float(rate), float(width))
     panel_tol = tol / (8 * n_est)
 
     total = ctx.mpf(0)
@@ -433,9 +379,9 @@ def sin_kernel_integral(
         val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree=4)
         total += val
         err += perr
-        env = _exp_tail_bound(ctx, b, p, 1)
+        env = _exp_tail_bound(ctx, b, p, rate)
         if env is not None:
-            tail = env / (1 - ctx.exp(-b))
+            tail = amp * env / (1 - ctx.exp(-rate * b))
             if tail < tol / 4:
                 err += tail
                 break
@@ -455,141 +401,3 @@ def _estimate_panels(tol, p, rate, width):
         u = u_new
     return max(4, int(u / width) + 2)
 
-
-# -- cross-module verifications ---------------------------------------
-
-
-def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
-    """Check t^{2n-1} [-R_n'(t)] against its double-integral representation
-
-        2 int_0^inf ( int_0^inf w^{2n-1}[1-cos(wv)]/(e^{2 pi w}-1) dw ) e^{-tv} dv
-
-    The left side comes from the shift+series evaluator, the right side
-    entirely from quadrature, so agreement is a genuine cross-check.
-    Returns the absolute deviation (caller compares against ``tol``).
-
-    The tolerance is split so the inner integrals cannot pollute the outer
-    one.  The inner tolerance is tol*t/12 scaled up by e^{3tv/4}: the
-    total inner contribution is then bounded by (tol*t/12) int e^{-tv/4}
-    dv = tol/3, while the integrals under the flat part of the weight stay
-    tight and the (expensive, high-frequency) ones at large v relax where
-    the weight has already collapsed.  The outer quadrature itself gets
-    tol/8.
-    """
-    from . import remainders  # deferred: remainders sits above this module
-    from .combinatorics import bernoulli
-
-    n = int(n)
-    if n < 1:
-        raise DomainError("verify_degree_representation requires n >= 1, got %d" % n)
-    t = ctx.mpf(t)
-    if t <= 0:
-        raise DomainError("verify_degree_representation requires t > 0, got %s" % t)
-    tol = ctx.mpf(tol)
-
-    lhs = ctx.power(t, 2 * n - 1) * remainders.remainder_d1(ctx, n, t)
-
-    tol_inner = tol * t / 12
-    # the inner integral is bounded by twice the pure Bose moment; give the
-    # outer tail test that bound so it never has to sample the (expensive)
-    # inner integral at large v
-    moment_bound = 3 * abs(ctx.mpf(bernoulli(2 * n))) / (4 * n) + 1
-
-    def inner(v):
-        relax = ctx.exp(3 * t * v / 4)
-        return cos_kernel_integral(ctx, n, v, tol_inner * relax).value
-
-    outer = laplace(ctx, inner, t, tol / 8, kernel_bound=moment_bound)
-    rhs = 2 * outer.value
-    return abs(lhs - rhs)
-
-
-@dataclass
-class Remark3Report:
-    """Grid scan of the three cosine-moment bounds for one n.
-
-    Each of the three left-hand sides is computed by a structurally
-    different route; all must stay strictly below the shared bound.
-    """
-
-    n: int
-    bound_exact: Fraction
-    bound: object
-    max_lhs: list
-    min_margin: list
-    argmin: list
-    violations: list = field(default_factory=list)
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.violations
-
-
-def remark3_inequalities(ctx: PrecisionContext, n: int, grid: GridSpec) -> Remark3Report:
-    """Check, at every grid point, that three independently computed forms
-    of the oscillatory cosine moment stay strictly below
-    (2n-1)! zeta(2n) / (2 pi)^{2n} (exact rational times pi-power).
-
-    Routes: (1) the assembled kernel K_{2n-1} minus its constant;
-    (2) the derivative closed form -(2n-1)!/v^{2n} - (d^{2n-1}/dv^{2n-1}) of
-    the Bose factor; (3) the negated form through the explicit Stirling-
-    number polynomial.  Violations are report entries, not exceptions.
-    """
-    from . import kernels  # deferred: kernels sits above this module
-    from .combinatorics import bernoulli, stirling2, zeta_even
-
-    n = int(n)
-    if n < 1:
-        raise DomainError("remark3_inequalities requires n >= 1, got %d" % n)
-
-    q, _power = zeta_even(n)
-    fact = 1
-    for d in range(2, 2 * n):
-        fact *= d
-    bound_exact = Fraction(fact) * q / Fraction(2) ** (2 * n)
-    bound = ctx.mpf(bound_exact)
-
-    sign = -1 if n % 2 else 1
-    b2n = ctx.mpf(bernoulli(2 * n))
-    m = 2 * n - 1
-    srow = [ctx.mpf(int(stirling2(2 * n, p))) for p in range(1, 2 * n + 1)]
-    pfact = [ctx.mpf(math.factorial(p - 1)) for p in range(1, 2 * n + 1)]
-
-    max_lhs = [None, None, None]
-    min_margin = [None, None, None]
-    argmin = [None, None, None]
-    violations = []
-
-    for v in grid.points(ctx):
-        # boost for the v^{-2n} cancellation in the raw closed forms
-        extra = 0
-        if v < 1:
-            extra = int(2 * n * (-math.log10(float(v)))) + 10
-        wctx = ctx.boosted(extra)
-        vv = wctx.mpf(v)
-        mfact_w = wctx.mpf(fact)
-        vpow = wctx.power(vv, 2 * n)
-
-        lhs1 = ctx.mpf(sign) / 2 * (kernels.K_kernel(ctx, m, v) - b2n / (2 * n))
-        lhs2 = wctx.mpf(sign) / 2 * (
-            -mfact_w / vpow - kernels.bose_derivative(wctx, m, vv)
-        )
-        u = 1 / wctx.expm1(vv)
-        ssum = wctx.mpf(0)
-        upow = wctx.mpf(1)
-        for p in range(1, 2 * n + 1):
-            upow *= u
-            ssum += wctx.mpf(pfact[p - 1]) * wctx.mpf(srow[p - 1]) * upow
-        lhs3 = wctx.mpf(sign) / 2 * (mfact_w / vpow - ssum)
-
-        for i, lhs in enumerate((ctx.mpf(lhs1), ctx.mpf(lhs2), ctx.mpf(lhs3))):
-            margin = bound - lhs
-            if max_lhs[i] is None or lhs > max_lhs[i]:
-                max_lhs[i] = lhs
-            if min_margin[i] is None or margin < min_margin[i]:
-                min_margin[i] = margin
-                argmin[i] = v
-            if not margin > 0:
-                violations.append((i + 1, v, lhs))
-
-    return Remark3Report(n, bound_exact, bound, max_lhs, min_margin, argmin, violations)

@@ -26,13 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import bernoulli
 from .errors import DomainError
-from .gammakit import ln_gamma, polygamma
+from .gammakit import _frac_coeffs, ln_gamma, polygamma
 from .precision import PrecisionContext
 
 __all__ = [
-    "RemainderSpec",
     "remainder",
     "remainder_d1",
     "remainder_d2",
@@ -45,26 +43,6 @@ __all__ = [
 
 _MAX_N = 30
 _MAX_DERIV = 16
-
-
-@dataclass(frozen=True)
-class RemainderSpec:
-    """A remainder selection: truncation order n and derivative 0, 1 or 2."""
-
-    n: int
-    deriv: int = 0
-
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.deriv not in (0, 1, 2):
-            raise DomainError("RemainderSpec.deriv must be 0, 1 or 2, got %r" % (self.deriv,))
-
-    def evaluate(self, ctx: PrecisionContext, t):
-        if self.deriv == 0:
-            return remainder(ctx, self.n, t)
-        if self.deriv == 1:
-            return remainder_d1(ctx, self.n, t)
-        return remainder_d2(ctx, self.n, t)
 
 
 def _check_n(n) -> int:
@@ -85,30 +63,6 @@ def _boost(n: int, j: int, t) -> int:
     t^-(2n+j+1) tail."""
     lt = math.log10(float(t)) if float(t) > 1 else 0.0
     return int(math.ceil((2 * n + j + 2) * lt)) + 15
-
-
-# c_k = B_{2k}/((2k)(2k-1)), index k-1
-_C_COEFF: list = []
-# per derivative order j >= 2: B_{2k} (2k+1)(2k+2)...(2k+j-2), index k-1
-_D_COEFF: dict = {}
-
-
-def _c_coeff(k: int) -> Fraction:
-    while len(_C_COEFF) < k:
-        j = len(_C_COEFF) + 1
-        _C_COEFF.append(bernoulli(2 * j) / ((2 * j) * (2 * j - 1)))
-    return _C_COEFF[k - 1]
-
-
-def _d_coeff(j: int, k: int) -> Fraction:
-    lst = _D_COEFF.setdefault(j, [])
-    while len(lst) < k:
-        kk = len(lst) + 1
-        mult = 1
-        for i in range(1, j - 1):
-            mult *= 2 * kk + i
-        lst.append(bernoulli(2 * kk) * mult)
-    return lst[k - 1]
 
 
 def remainder(ctx: PrecisionContext, n, t):
@@ -132,20 +86,27 @@ def remainder(ctx: PrecisionContext, n, t):
         val = r0 if n == 0 else 1 / (12 * tw) - r0
     else:
         acc = ln_gamma(wctx, tw).value - (tw - half) * wctx.ln(tw) + tw - log_two_pi / 2
+        # c_k = B_{2k}/((2k)(2k-1)): the ln Gamma series coefficients
+        coeffs = _frac_coeffs(-1, n)
         for k in range(1, n + 1):
-            acc -= wctx.mpf(_c_coeff(k)) * tw ** (1 - 2 * k)
+            acc -= wctx.mpf(coeffs[k - 1]) * tw ** (1 - 2 * k)
         val = acc if n % 2 == 0 else -acc
     return ctx.mpf(val)
 
 
 def _a_deriv(ctx: PrecisionContext, n: int, j: int, t0):
-    """A_n^(j)(t) for j >= 1, from polygamma plus exact power corrections."""
+    """A_n^(j)(t) for j >= 1, from polygamma plus exact power corrections.
+
+    The corrections are the psi^(j-1) series coefficients: B_{2k}/(2k) for
+    j = 1 and B_{2k} (2k+1)(2k+2)...(2k+j-2) for j >= 2.
+    """
     wctx = ctx.boosted(_boost(n, j, t0))
     tw = wctx.mpf(t0)
+    coeffs = _frac_coeffs(j - 1, n)
     if j == 1:
         acc = polygamma(wctx, 0, tw).value - wctx.ln(tw) + 1 / (2 * tw)
         for k in range(1, n + 1):
-            acc += wctx.mpf(Fraction(bernoulli(2 * k), 2 * k)) * tw ** (-2 * k)
+            acc += wctx.mpf(coeffs[k - 1]) * tw ** (-2 * k)
     else:
         acc = polygamma(wctx, j - 1, tw).value
         corr = (
@@ -153,7 +114,7 @@ def _a_deriv(ctx: PrecisionContext, n: int, j: int, t0):
             + wctx.mpf(math.factorial(j - 1)) / (2 * tw ** j)
         )
         for k in range(1, n + 1):
-            corr += wctx.mpf(_d_coeff(j, k)) * tw ** (-(2 * k + j - 1))
+            corr += wctx.mpf(coeffs[k - 1]) * tw ** (-(2 * k + j - 1))
         if (j - 1) % 2 == 0:
             acc += corr
         else:
@@ -176,18 +137,12 @@ def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
 
 def remainder_d1(ctx: PrecisionContext, n, t):
     """-R_n'(t) = (-1)^{n+1} A_n'(t); positive (completely monotonic)."""
-    n = _check_n(n)
-    t0 = _check_t(ctx, t)
-    a = _a_deriv(ctx, n, 1, t0)
-    return -a if n % 2 == 0 else a
+    return -remainder_deriv(ctx, n, 1, t)
 
 
 def remainder_d2(ctx: PrecisionContext, n, t):
     """R_n''(t) = (-1)^n A_n''(t); non-negative by complete monotonicity."""
-    n = _check_n(n)
-    t0 = _check_t(ctx, t)
-    a = _a_deriv(ctx, n, 2, t0)
-    return a if n % 2 == 0 else -a
+    return remainder_deriv(ctx, n, 2, t)
 
 
 def ratio_bound(ctx: PrecisionContext, n, t):
@@ -242,10 +197,11 @@ def tail_limits(ctx: PrecisionContext, n) -> TailLimits:
     rp_inf = -remainder_d1(ctx, n, t_inf)
     rp_zero = -remainder_d1(ctx, n, t_zero)
 
+    b_over_2k = _frac_coeffs(0, n + 1)  # B_{2k}/(2k), index k-1
     sign_inf = 1 if n % 2 == 1 else -1  # (-1)^{n+1}
-    target3 = Fraction(sign_inf) * Fraction(bernoulli(2 * n + 2), 2 * n + 2)
+    target3 = Fraction(sign_inf) * b_over_2k[n]
     sign_zero = -sign_inf  # (-1)^n
-    target4 = Fraction(sign_zero) * Fraction(bernoulli(2 * n), 2 * n)
+    target4 = Fraction(sign_zero) * b_over_2k[n - 1]
 
     entries = []
     for power, target in ((2 * n - 1, Fraction(0)), (2 * n + 1, Fraction(0)), (2 * n + 2, target3)):

@@ -218,3 +218,20 @@ def test_verify_remark2_find_negative(capsys):
     assert neg["pass"] is True
     assert neg["s"] == "1"
     assert float(neg["value"]) < 0
+
+
+@pytest.mark.parametrize("suite", ["binet", "psi-integral", "bose"])
+def test_verify_integral_suites_tolerance_at_low_digits(capsys, suite):
+    # the tolerance must stay meaningful when the working digits are few
+    code, out = run(capsys, ["verify", "--suite", suite, "--quick", "--digits", "16"])
+    assert code == 0
+    (rec,) = json.loads(out)["results"]
+    assert rec["pass"] is True
+    assert float(rec["tolerance"]) <= 1e-8
+    assert float(rec["max_deviation"]) <= float(rec["tolerance"])
+
+
+def test_eval_prints_no_more_digits_than_computed(capsys):
+    code, out = run(capsys, ["eval", "--fn", "psi", "--t", "2", "--digits", "15"])
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[1] == "4.22784335098467e-1"

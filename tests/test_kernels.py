@@ -15,9 +15,9 @@ from cmlab import (
     KernelSpec,
     K_kernel,
     PrecisionContext,
+    bernoulli,
     bose_derivative,
     f_kernel,
-    f_kernel_deriv,
     remark1_chain,
     sign_scan,
 )
@@ -100,32 +100,23 @@ def test_kernel_spec_validation():
         KernelSpec(-1)
     with pytest.raises(DomainError):
         KernelSpec(0, form="pade")
-    with pytest.raises(DomainError):
-        KernelSpec(0, series_terms=0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("v", ["0.3", "2"])
-def test_f_kernel_deriv_order_zero_is_f(n, v):
-    ctx = PrecisionContext(50)
-    d = f_kernel_deriv(ctx, n, 0, v)
-    assert abs(d - f_kernel(ctx, n, v)) < ctx.mpf(10) ** (-52)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("ell", [1, 2])
-@pytest.mark.parametrize("v", ["0.3", "2"])
-def test_f_kernel_deriv_matches_finite_difference(n, ell, v):
-    # 5-point central difference of the (ell-1)-th derivative
+def test_K_kernel_matches_finite_difference(m, v):
+    # K_m minus its odd-m constant B_{m+1}/(m+1) is d/dv K_{m-1}; the
+    # points sit on both sides of the series/closed branch at v = 1/2
     ctx = PrecisionContext(70)
     h = ctx.mpf(10) ** (-8)
     v0 = ctx.mpf(v)
 
     def g(x):
-        return f_kernel_deriv(ctx, n, ell - 1, x)
+        return K_kernel(ctx, m - 1, x)
 
     fd = (-g(v0 + 2 * h) + 8 * g(v0 + h) - 8 * g(v0 - h) + g(v0 - 2 * h)) / (12 * h)
-    assert abs(f_kernel_deriv(ctx, n, ell, v0) - fd) < ctx.mpf(10) ** (-25)
+    const = ctx.mpf(Fraction(bernoulli(m + 1), m + 1)) if m % 2 == 1 else 0
+    assert abs(K_kernel(ctx, m, v0) - const - fd) < ctx.mpf(10) ** (-25)
 
 
 def test_bose_derivative_order_zero():

@@ -50,7 +50,6 @@ def test_gridspec_points_are_log_spaced():
         {"t_min": -1, "t_max": 1, "count": 5},
         {"t_min": 2, "t_max": 1, "count": 5},
         {"t_min": 1, "t_max": 2, "count": 1},
-        {"t_min": 1, "t_max": 2, "count": 5, "spacing": "linear"},
     ],
 )
 def test_gridspec_validation(kwargs):

@@ -10,7 +10,6 @@ import pytest
 from cmlab import (
     DomainError,
     PrecisionContext,
-    RemainderSpec,
     bernoulli,
     ratio_bound,
     remainder,
@@ -174,25 +173,12 @@ def test_large_argument_stability():
     assert abs(value / env - 1) < ctx.mpf(10) ** (-10)
 
 
-def test_remainder_spec_dispatch():
-    ctx = PrecisionContext(35)
-    t = ctx.mpf(2)
-    assert RemainderSpec(1, 0).evaluate(ctx, t) == remainder(ctx, 1, t)
-    assert RemainderSpec(1, 1).evaluate(ctx, t) == remainder_d1(ctx, 1, t)
-    assert RemainderSpec(1, 2).evaluate(ctx, t) == remainder_d2(ctx, 1, t)
-
-
-def test_remainder_spec_validation():
-    with pytest.raises(DomainError):
-        RemainderSpec(-1, 0)
-    with pytest.raises(DomainError):
-        RemainderSpec(1, 3)
-    with pytest.raises(DomainError):
-        RemainderSpec(31, 0)
-
-
 def test_remainder_domain():
     ctx = PrecisionContext(30)
+    with pytest.raises(DomainError):
+        remainder(ctx, -1, 1)
+    with pytest.raises(DomainError):
+        remainder(ctx, 31, 1)
     with pytest.raises(DomainError):
         remainder(ctx, 0, 0)
     with pytest.raises(DomainError):
