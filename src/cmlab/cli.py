@@ -100,20 +100,33 @@ def _eval_one(ctx, head, idx, x):
     return K_kernel(ctx, idx, x)
 
 
-def _parse_points(ctx, grid_str: str):
+def _parse_number(ctx, text: str, flag: str):
+    try:
+        return ctx.mpf(text)
+    except ValueError:
+        raise UsageError("%s expects a number, got %r" % (flag, text))
+
+
+def _split_grid(grid_str: str):
+    """``a:b:count`` -> (a, b, count), with a and b kept as given."""
     parts = grid_str.split(":")
     if len(parts) != 3:
         raise UsageError("--grid expects a:b:count, got %r" % grid_str)
     a, b, count_s = parts
     try:
         count = int(count_s)
-        fa = float(a)
-        fb = float(b)
+        float(a)
+        float(b)
     except ValueError:
         raise UsageError("--grid expects numeric a:b:count, got %r" % grid_str)
+    return a, b, count
+
+
+def _parse_points(ctx, grid_str: str):
+    a, b, count = _split_grid(grid_str)
     if count < 1:
         raise UsageError("--grid needs count >= 1, got %d" % count)
-    if count == 1 or fa == fb:
+    if count == 1 or float(a) == float(b):
         return [ctx.mpf(a)]
     return GridSpec(a, b, count).points(ctx)
 
@@ -125,7 +138,10 @@ def _cmd_eval(args) -> int:
         raise UsageError("pass --t or --grid, not both")
     if args.t is None and not args.grid:
         raise UsageError("eval needs --t or --grid")
-    points = [ctx.mpf(args.t)] if args.t is not None else _parse_points(ctx, args.grid)
+    if args.t is not None:
+        points = [_parse_number(ctx, args.t, "--t")]
+    else:
+        points = _parse_points(ctx, args.grid)
 
     var = "v" if head in _KERNEL_HEADS else "t"
     rows = [(p, _eval_one(ctx, head, idx, p)) for p in points]
@@ -170,33 +186,32 @@ def _cmd_degree(args) -> int:
             "unknown family %r; expected one of %s" % (args.fn, ", ".join(sorted(families)))
         )
     ctx = PrecisionContext(args.digits)
-    lo_default, hi_default = _default_bracket(args.fn)
-    alpha_lo = args.alpha_lo if args.alpha_lo is not None else lo_default
-    alpha_hi = args.alpha_hi if args.alpha_hi is not None else hi_default
-
-    parts = args.grid.split(":")
-    if len(parts) != 3:
-        raise UsageError("--grid expects a:b:count, got %r" % args.grid)
-    grid = GridSpec(parts[0], parts[1], int(parts[2]))
+    alpha_lo, alpha_hi = (ctx.mpf(a) for a in _default_bracket(args.fn))
+    if args.alpha_lo is not None:
+        alpha_lo = _parse_number(ctx, args.alpha_lo, "--alpha-lo")
+    if args.alpha_hi is not None:
+        alpha_hi = _parse_number(ctx, args.alpha_hi, "--alpha-hi")
+    resolution = _parse_number(ctx, args.resolution, "--resolution")
+    grid = GridSpec(*_split_grid(args.grid))
 
     bracket = degree_estimate(
         ctx,
         families[args.fn],
         alpha_lo,
         alpha_hi,
-        resolution=args.resolution,
+        resolution=resolution,
         order=args.order,
         grid=grid,
     )
     payload = {
         "config": {
-            "alpha_hi": _fmt(ctx, ctx.mpf(alpha_hi)),
-            "alpha_lo": _fmt(ctx, ctx.mpf(alpha_lo)),
+            "alpha_hi": _fmt(ctx, alpha_hi),
+            "alpha_lo": _fmt(ctx, alpha_lo),
             "digits": ctx.digits,
             "fn": args.fn,
             "grid": args.grid,
             "order": args.order,
-            "resolution": _fmt(ctx, ctx.mpf(args.resolution)),
+            "resolution": _fmt(ctx, resolution),
         },
         "result": {
             "failed_alpha": _fmt(ctx, bracket.failed_alpha),

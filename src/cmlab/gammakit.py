@@ -93,7 +93,10 @@ def _asym_sum(wctx: PrecisionContext, order: int, z, p0):
     prev = None
     k = 1
     while True:
-        term = _coeff_mpf(wctx, order, k) * zpow
+        # zpow on the left: mpf arithmetic rounds to the left operand's
+        # context, and the cached coefficients belong to whichever context
+        # first filled the list
+        term = zpow * _coeff_mpf(wctx, order, k)
         at = abs(term)
         if at <= stop:
             return total, at

@@ -3,6 +3,10 @@
 A :class:`PrecisionContext` owns an independent mpmath context, so two
 computations at different precisions never interfere through global state
 and results are reproducible regardless of evaluation order or threading.
+The boosted working contexts that the evaluators ask for are shared: there
+is one per digit count and per thread, built on first use and never
+mutated afterwards, so sharing one changes no value.  A context built with
+``PrecisionContext(digits)`` is always its own.
 
 Precision is an explicit parameter threaded through every call in this
 package; nothing reads an ambient global.  :class:`GridSpec`, the
@@ -12,6 +16,7 @@ suites scan, lives here too, since its points are built under a context.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +27,16 @@ from .errors import DomainError
 __all__ = ["PrecisionContext", "GridSpec"]
 
 MIN_DIGITS = 15
+
+
+class _SharedContexts(threading.local):
+    """The boosted contexts of one thread, keyed by digits."""
+
+    def __init__(self):
+        self.by_digits = {}
+
+
+_SHARED = _SharedContexts()
 
 
 class PrecisionContext:
@@ -57,8 +72,19 @@ class PrecisionContext:
         return self._mp.mpf(x)
 
     def boosted(self, extra_digits: int) -> "PrecisionContext":
-        """A fresh context with ``extra_digits`` more working digits."""
-        return PrecisionContext(self.digits + max(0, int(extra_digits)))
+        """The shared context with ``extra_digits`` more working digits.
+
+        Built once per digit count and per thread, and handed to every
+        caller that asks for those digits in that thread.  Nothing may
+        change its precision: every value made under it rounds to that
+        context's current precision, whoever is using it.
+        """
+        digits = self.digits + max(0, int(extra_digits))
+        shared = _SHARED.by_digits
+        ctx = shared.get(digits)
+        if ctx is None:
+            ctx = shared[digits] = PrecisionContext(digits)
+        return ctx
 
     # -- constants ---------------------------------------------------
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.ctx_mp import MPContext
 
 from .combinatorics import bernoulli
 from .errors import DomainError, IntegrationError
@@ -84,8 +85,11 @@ def _gl_nodes(ctx: PrecisionContext, degree: int):
     key = (ctx.digits, degree)
     nodes = _GL_CACHE.get(key)
     if nodes is None:
-        rule = GaussLegendre(ctx._mp)
-        nodes = rule.calc_nodes(degree, ctx._mp.prec)
+        # calc_nodes raises its context's precision while it runs, so it
+        # gets a private context rather than ``ctx``, which may be shared
+        private = MPContext()
+        private.prec = ctx._mp.prec
+        nodes = GaussLegendre(private).calc_nodes(degree, private.prec)
         _GL_CACHE[key] = nodes
     return nodes
 

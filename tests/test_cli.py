@@ -141,6 +141,20 @@ def test_degree_unknown_family(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--grid", "1e-6:1e3:x"],
+        ["--grid", "a:1e3:10"],
+        ["--resolution", "abc"],
+        ["--alpha-lo", "abc"],
+    ],
+)
+def test_degree_malformed_numbers_are_usage_errors(capsys, extra):
+    assert main(["degree", "--fn", "phi"] + extra) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_degree_bad_bracket_exit_code(capsys):
     code = main(
         [

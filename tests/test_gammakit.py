@@ -13,10 +13,8 @@ import pytest
 from cmlab import (
     DomainError,
     PrecisionContext,
-    binet_check,
     ln_gamma,
     polygamma,
-    psi_integral_check,
 )
 
 # Euler-Mascheroni constant, frozen once from an 80-digit sum
@@ -110,15 +108,3 @@ def test_polygamma_domain():
         polygamma(ctx, 0.5, 1)
     with pytest.raises(DomainError):
         polygamma(ctx, 2, 0)
-
-
-@pytest.mark.parametrize("t", ["1", "10"])
-def test_binet_integral_agrees(t):
-    ctx = PrecisionContext(30)
-    assert binet_check(ctx, t) < ctx.mpf(10) ** (-17)
-
-
-@pytest.mark.parametrize("t", ["1", "10"])
-def test_psi_integral_agrees(t):
-    ctx = PrecisionContext(30)
-    assert psi_integral_check(ctx, t) < ctx.mpf(10) ** (-17)

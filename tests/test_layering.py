@@ -1,7 +1,9 @@
 """Module layering of the cmlab package, read from the source with ``ast``:
 every import sits at module level, and each module imports only modules
 below it in the layer order (the package ``__init__`` re-exports them all
-and is exempt)."""
+and is exempt).  The same reading checks that the shared boosted contexts
+stay unmutated: only ``PrecisionContext.__init__`` sets a context's
+precision, and only ``precision`` and ``cli`` build contexts."""
 
 import ast
 from pathlib import Path
@@ -71,3 +73,58 @@ def test_no_import_inside_a_function(name):
                 n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
             ]
             assert not inner, "%s imports inside %s" % (name, getattr(node, "name", "lambda"))
+
+
+def _precision_setters(tree):
+    """Assignments to ``<x>._mp.prec`` or ``<x>._mp.dps`` outside
+    ``PrecisionContext.__init__``, as source lines."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PrecisionContext":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    exempt.update(id(n) for n in ast.walk(item))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr in ("prec", "dps")
+                    and isinstance(sub.value, ast.Attribute)
+                    and sub.value.attr == "_mp"
+                ):
+                    found.append(node.lineno)
+    return found
+
+
+def _context_constructions(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "PrecisionContext":
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("name", LAYERS + ("__init__",))
+def test_no_context_precision_is_set_after_construction(name):
+    lines = _precision_setters(_tree(name))
+    assert not lines, "%s sets a context's precision at lines %s" % (name, lines)
+
+
+@pytest.mark.parametrize("name", LAYERS + ("__init__",))
+def test_only_precision_and_cli_build_contexts(name):
+    lines = _context_constructions(_tree(name))
+    if name not in ("precision", "cli"):
+        assert not lines, "%s builds a PrecisionContext at lines %s" % (name, lines)

@@ -1,10 +1,19 @@
-"""Context arithmetic: conversions, checked functions, domain guards."""
+"""Context arithmetic: conversions, checked functions, domain guards,
+the shared boosted contexts, and the point grid."""
 
+import threading
 from fractions import Fraction
 
 import pytest
 
-from cmlab import DomainError, PrecisionContext
+from cmlab import (
+    DomainError,
+    GridSpec,
+    PrecisionContext,
+    f_kernel,
+    polygamma,
+    remainder_deriv,
+)
 
 # coth(1) to 80 digits, from an independent high-precision evaluation
 COTH_1 = (
@@ -52,6 +61,47 @@ def test_boosted_adds_digits():
     assert ctx.boosted(-5).digits == 25
     # the original context is untouched
     assert ctx.digits == 25
+
+
+def test_boosted_contexts_are_shared_per_digit_count():
+    ctx = PrecisionContext(25)
+    assert ctx.boosted(7) is ctx.boosted(7)
+    assert PrecisionContext(25).boosted(15) is PrecisionContext(30).boosted(10)
+    # a context the caller builds is always its own
+    assert PrecisionContext(40) is not ctx.boosted(15)
+    assert PrecisionContext(40) is not PrecisionContext(40)
+
+
+def test_boosted_contexts_are_per_thread():
+    ctx = PrecisionContext(25)
+    mine = ctx.boosted(15)
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(ctx.boosted(15)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(theirs) == 1
+    assert theirs[0] is not mine
+    assert theirs[0].digits == mine.digits == 40
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda c: polygamma(c, 0, "0.3").value,
+        lambda c: polygamma(c, 5, "7.5").est_error,
+        lambda c: polygamma(c, 3, "2e4").value,
+        lambda c: remainder_deriv(c, 1, 1, "0.01"),
+        lambda c: remainder_deriv(c, 2, 4, "50"),
+        lambda c: f_kernel(c, 2, "3"),  # closed branch (v >= 1/2)
+    ],
+)
+def test_shared_context_gives_bit_identical_values(evaluate):
+    shared = PrecisionContext(20).boosted(12)
+    fresh = PrecisionContext(32)
+    assert shared is not fresh
+    # the raw mpf tuples: bit for bit, not only equal in value
+    assert evaluate(shared)._mpf_ == evaluate(fresh)._mpf_
 
 
 def test_eps_matches_digits():
@@ -102,3 +152,33 @@ def test_expm1_accurate_near_zero():
     x = ctx.mpf(10) ** (-30)
     rel = abs(ctx.expm1(x) - x) / x
     assert rel < ctx.mpf(10) ** (-25)
+
+
+# -- grids -------------------------------------------------------------
+
+
+def test_gridspec_points_are_log_spaced():
+    ctx = PrecisionContext(30)
+    grid = GridSpec(1e-2, 1e2, 5)
+    pts = grid.points(ctx)
+    assert len(pts) == 5
+    # endpoints reproduce the stored (float) bounds, not their decimal look
+    assert abs(pts[0] - ctx.mpf(1e-2)) < ctx.mpf(10) ** (-25)
+    assert abs(pts[-1] - 100) < ctx.mpf(10) ** (-22)
+    ratios = [pts[k + 1] / pts[k] for k in range(4)]
+    for r in ratios[1:]:
+        assert abs(r - ratios[0]) < ctx.mpf(10) ** (-20)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t_min": 0, "t_max": 1, "count": 5},
+        {"t_min": -1, "t_max": 1, "count": 5},
+        {"t_min": 2, "t_max": 1, "count": 5},
+        {"t_min": 1, "t_max": 2, "count": 1},
+    ],
+)
+def test_gridspec_validation(kwargs):
+    with pytest.raises(DomainError):
+        GridSpec(**kwargs)

@@ -1,6 +1,5 @@
 """Semi-infinite quadrature: analytic Laplace transforms, Bose moments,
-oscillatory kernel integrals against their closed forms, and the report
-objects built on top of them.
+and oscillatory kernel integrals against their closed forms.
 """
 
 from fractions import Fraction
@@ -10,7 +9,6 @@ import pytest
 
 from cmlab import (
     DomainError,
-    GridSpec,
     IntegrationError,
     K_kernel,
     PrecisionContext,
@@ -19,42 +17,11 @@ from cmlab import (
     cos_kernel_integral,
     f_kernel,
     laplace,
-    remark3_inequalities,
+    quadrature,
     sin_kernel_integral,
-    verify_degree_representation,
 )
 
 EULER_GAMMA = "0.5772156649015328606065120900824024310421593359399235988057672348848677267776646709"
-
-
-# -- grids -------------------------------------------------------------
-
-
-def test_gridspec_points_are_log_spaced():
-    ctx = PrecisionContext(30)
-    grid = GridSpec(1e-2, 1e2, 5)
-    pts = grid.points(ctx)
-    assert len(pts) == 5
-    # endpoints reproduce the stored (float) bounds, not their decimal look
-    assert abs(pts[0] - ctx.mpf(1e-2)) < ctx.mpf(10) ** (-25)
-    assert abs(pts[-1] - 100) < ctx.mpf(10) ** (-22)
-    ratios = [pts[k + 1] / pts[k] for k in range(4)]
-    for r in ratios[1:]:
-        assert abs(r - ratios[0]) < ctx.mpf(10) ** (-20)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"t_min": 0, "t_max": 1, "count": 5},
-        {"t_min": -1, "t_max": 1, "count": 5},
-        {"t_min": 2, "t_max": 1, "count": 5},
-        {"t_min": 1, "t_max": 2, "count": 1},
-    ],
-)
-def test_gridspec_validation(kwargs):
-    with pytest.raises(DomainError):
-        GridSpec(**kwargs)
 
 
 # -- Laplace transforms ------------------------------------------------
@@ -220,39 +187,25 @@ def test_sin_kernel_integral_domain():
             sin_kernel_integral(ctx, p, s, tol)
 
 
-# -- assembled checks ----------------------------------------------------
+# -- Gauss-Legendre nodes ------------------------------------------------
 
 
-def test_verify_degree_representation_fast_case():
-    ctx = PrecisionContext(25)
-    dev = verify_degree_representation(ctx, 1, 10, ctx.mpf(10) ** (-15))
-    assert dev < ctx.mpf(10) ** (-15)
+def test_gl_nodes_leave_a_shared_context_alone(monkeypatch):
+    # mpmath's calc_nodes raises its context's precision while it runs, so
+    # it must not run on a boosted context that other callers share
+    used = []
 
+    class RecordingRule(quadrature.GaussLegendre):
+        def calc_nodes(self, degree, prec, verbose=False):
+            used.append(self.ctx)
+            return super().calc_nodes(degree, prec, verbose)
 
-def test_verify_degree_representation_domain():
-    ctx = PrecisionContext(25)
-    tol = ctx.mpf(10) ** (-15)
-    with pytest.raises(DomainError):
-        verify_degree_representation(ctx, 0, 1, tol)
-    with pytest.raises(DomainError):
-        verify_degree_representation(ctx, 1, 0, tol)
-
-
-@pytest.mark.parametrize("n,exact", [(1, Fraction(1, 24)), (2, Fraction(1, 240))])
-def test_remark3_report(n, exact):
-    ctx = PrecisionContext(30)
-    report = remark3_inequalities(ctx, n, GridSpec(1e-2, 1e2, 40))
-    assert report.bound_exact == exact
-    assert report.all_hold
-    assert not report.violations
-    assert len(report.max_lhs) == 3
-    for margin in report.min_margin:
-        assert margin > 0
-    for lhs in report.max_lhs:
-        assert lhs < report.bound
-
-
-def test_remark3_domain():
-    ctx = PrecisionContext(30)
-    with pytest.raises(DomainError):
-        remark3_inequalities(ctx, 0, GridSpec(1e-2, 1e2, 10))
+    monkeypatch.setattr(quadrature, "GaussLegendre", RecordingRule)
+    monkeypatch.setattr(quadrature, "_GL_CACHE", {})
+    ctx = PrecisionContext(20).boosted(7)
+    prec = ctx._mp.prec
+    nodes = quadrature._gl_nodes(ctx, 3)
+    assert len(nodes) == 12
+    assert ctx._mp.prec == prec
+    assert len(used) == 1 and used[0] is not ctx._mp
+    assert used[0].prec == prec
