@@ -275,18 +275,14 @@ def _lnminuspsi_deriv(ctx, j, t):
     return lead - polygamma(ctx, j, t).value
 
 
-def _r_family(n):
-    def eval_deriv(ctx, j, t, _n=n):
-        return remainder_deriv(ctx, _n, j, t)
+def _remainder_family(name, n, m, max_order=12):
+    """The family (-1)^m R_n^(m), whose j-th derivative is (-1)^m R_n^(m+j)."""
 
-    return eval_deriv
+    def eval_deriv(ctx, j, t):
+        val = remainder_deriv(ctx, n, m + j, t)
+        return -val if m % 2 else val
 
-
-def _neg_rprime_family(n):
-    def eval_deriv(ctx, j, t, _n=n):
-        return -remainder_deriv(ctx, _n, j + 1, t)
-
-    return eval_deriv
+    return FunctionFamily(name, eval_deriv, max_order=max_order)
 
 
 def builtin_families() -> dict:
@@ -298,12 +294,12 @@ def builtin_families() -> dict:
     """
     fams = {
         "lnminuspsi": FunctionFamily("lnminuspsi", _lnminuspsi_deriv),
-        "phi": FunctionFamily("phi", _neg_rprime_family(1)),
-        "negR1prime": FunctionFamily("negR1prime", _neg_rprime_family(1)),
+        "phi": _remainder_family("phi", 1, 1),
+        "negR1prime": _remainder_family("negR1prime", 1, 1),
     }
     for n in range(7):
-        fams["R:%d" % n] = FunctionFamily("R:%d" % n, _r_family(n))
-        fams["negRprime:%d" % n] = FunctionFamily("negRprime:%d" % n, _neg_rprime_family(n))
+        fams["R:%d" % n] = _remainder_family("R:%d" % n, n, 0)
+        fams["negRprime:%d" % n] = _remainder_family("negRprime:%d" % n, n, 1)
     return fams
 
 
@@ -328,13 +324,7 @@ def conjecture_probe(
         raise DomainError("conjecture_probe supports 0 <= m <= 4, got %r" % (m,))
     n = int(n)
     m = int(m)
-    sign = 1 if m % 2 == 0 else -1
-
-    def eval_deriv(ctx_, j, t, _n=n, _m=m, _s=sign):
-        val = remainder_deriv(ctx_, _n, _m + j, t)
-        return val if _s == 1 else -val
-
-    fam = FunctionFamily("probe:R%d^(%d)" % (n, m), eval_deriv, 0, max_order=12 - m)
+    fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m, max_order=12 - m)
     center = m + n if n <= 1 else m + 2 * (n - 1)
     lo = max(0, center - 1)
     hi = center + 1

@@ -3,8 +3,9 @@ the second kind, falling factorials, and zeta at even integers.
 
 Everything here is exact arithmetic over ``fractions.Fraction``; floating
 values are produced only by the caller converting through a
-:class:`~cmlab.precision.PrecisionContext`.  Caches are filled idempotently,
-so concurrent callers at worst repeat work.
+:class:`~cmlab.precision.PrecisionContext`.  The Bernoulli cache only
+grows, and it grows under a lock, so concurrent callers at worst wait for
+one another's work; a value already cached is read without the lock.
 
 Conventions:
 
@@ -16,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -25,6 +27,7 @@ __all__ = ["bernoulli", "stirling2", "falling", "zeta_even"]
 
 # B_0, B_1, ... computed so far (exact, lowest terms by Fraction's invariant)
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI_FILL = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
@@ -38,12 +41,14 @@ def bernoulli(n: int) -> Fraction:
     n = int(n)
     if n < 0:
         raise DomainError("bernoulli requires n >= 0, got %d" % n)
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)  # next index to fill
-        acc = Fraction(0)
-        for k in range(m):
-            acc += comb(m + 1, k) * _BERNOULLI[k]
-        _BERNOULLI.append(-acc / (m + 1))
+    if len(_BERNOULLI) <= n:
+        with _BERNOULLI_FILL:
+            while len(_BERNOULLI) <= n:
+                m = len(_BERNOULLI)  # next index to fill
+                acc = Fraction(0)
+                for k in range(m):
+                    acc += comb(m + 1, k) * _BERNOULLI[k]
+                _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
 
 

@@ -20,6 +20,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,17 +61,18 @@ class KernelSpec:
             raise DomainError("KernelSpec.form must be auto/closed/series, got %r" % (self.form,))
 
 
-# B_{2k}/(2k)! as exact fractions, index k-1
+# B_{2k}/(2k)! as exact fractions, index k-1; filled under the lock, read
+# without it
 _B_OVER_FACT: list = []
+_B_OVER_FACT_FILL = threading.Lock()
 
 
 def _b_over_fact(k: int) -> Fraction:
-    while len(_B_OVER_FACT) < k:
-        j = len(_B_OVER_FACT) + 1
-        f = 1
-        for d in range(2, 2 * j + 1):
-            f *= d
-        _B_OVER_FACT.append(bernoulli(2 * j) / f)
+    if len(_B_OVER_FACT) < k:
+        with _B_OVER_FACT_FILL:
+            while len(_B_OVER_FACT) < k:
+                j = len(_B_OVER_FACT) + 1
+                _B_OVER_FACT.append(bernoulli(2 * j) / math.factorial(2 * j))
     return _B_OVER_FACT[k - 1]
 
 

@@ -12,12 +12,14 @@ the second derivative R_n'', arbitrary-order derivatives for the degree
 machinery, the pointwise degree bound -t R_n''/R_n', and the power-scaled
 limits of R_n' at both ends of the axis.
 
+Each derivative is computed as its definition reads, A_n^(j) = G - head:
+G is ln Gamma (j = 0) or psi^(j-1), and head is the leading terms plus the
+first n Bernoulli terms of G's own Stirling expansion, from the gammakit
+routine that also sums that expansion for G.
+
 Large-t evaluation cancels catastrophically (the result is of size
 t^{-(2n+j+1)} while the ingredients are of size ln t or larger), so every
 evaluation runs under a precision boost proportional to (2n+j+2) log10 t.
-Small t is benign for n >= 2, and for n <= 1 the order-zero values are
-computed through the Gamma(t+3) rewriting, which keeps ln Gamma away from
-its pole.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .gammakit import _frac_coeffs, ln_gamma, polygamma
+from .gammakit import _expansion, _frac_coeffs, ln_gamma, polygamma
 from .precision import PrecisionContext
 
 __all__ = [
@@ -67,59 +69,7 @@ def _boost(n: int, j: int, t) -> int:
 
 def remainder(ctx: PrecisionContext, n, t):
     """R_n(t) = (-1)^n A_n(t); strictly positive on (0, inf)."""
-    n = _check_n(n)
-    t0 = _check_t(ctx, t)
-    wctx = ctx.boosted(_boost(n, 0, t0))
-    tw = wctx.mpf(t0)
-    half = wctx.mpf(1) / 2
-    log_two_pi = wctx.ln(2 * wctx.pi)
-    if n <= 1 and t0 < 1:
-        # pole-free rewriting: ln Gamma(t) = ln Gamma(t+3) - ln(t(t+1)(t+2))
-        r0 = (
-            ln_gamma(wctx, tw + 3).value
-            - wctx.ln(tw + 2)
-            - wctx.ln(tw + 1)
-            - (tw + half) * wctx.ln(tw)
-            + tw
-            - log_two_pi / 2
-        )
-        val = r0 if n == 0 else 1 / (12 * tw) - r0
-    else:
-        acc = ln_gamma(wctx, tw).value - (tw - half) * wctx.ln(tw) + tw - log_two_pi / 2
-        # c_k = B_{2k}/((2k)(2k-1)): the ln Gamma series coefficients
-        coeffs = _frac_coeffs(-1, n)
-        for k in range(1, n + 1):
-            acc -= wctx.mpf(coeffs[k - 1]) * tw ** (1 - 2 * k)
-        val = acc if n % 2 == 0 else -acc
-    return ctx.mpf(val)
-
-
-def _a_deriv(ctx: PrecisionContext, n: int, j: int, t0):
-    """A_n^(j)(t) for j >= 1, from polygamma plus exact power corrections.
-
-    The corrections are the psi^(j-1) series coefficients: B_{2k}/(2k) for
-    j = 1 and B_{2k} (2k+1)(2k+2)...(2k+j-2) for j >= 2.
-    """
-    wctx = ctx.boosted(_boost(n, j, t0))
-    tw = wctx.mpf(t0)
-    coeffs = _frac_coeffs(j - 1, n)
-    if j == 1:
-        acc = polygamma(wctx, 0, tw).value - wctx.ln(tw) + 1 / (2 * tw)
-        for k in range(1, n + 1):
-            acc += wctx.mpf(coeffs[k - 1]) * tw ** (-2 * k)
-    else:
-        acc = polygamma(wctx, j - 1, tw).value
-        corr = (
-            wctx.mpf(math.factorial(j - 2)) * tw ** (-(j - 1))
-            + wctx.mpf(math.factorial(j - 1)) / (2 * tw ** j)
-        )
-        for k in range(1, n + 1):
-            corr += wctx.mpf(coeffs[k - 1]) * tw ** (-(2 * k + j - 1))
-        if (j - 1) % 2 == 0:
-            acc += corr
-        else:
-            acc -= corr
-    return ctx.mpf(acc)
+    return remainder_deriv(ctx, n, 0, t)
 
 
 def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
@@ -128,10 +78,12 @@ def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
     if int(j) != j or j < 0 or j > _MAX_DERIV:
         raise DomainError("derivative order j must be an integer in [0, %d], got %r" % (_MAX_DERIV, j))
     j = int(j)
-    if j == 0:
-        return remainder(ctx, n, t)
     t0 = _check_t(ctx, t)
-    a = _a_deriv(ctx, n, j, t0)
+    wctx = ctx.boosted(_boost(n, j, t0))
+    tw = wctx.mpf(t0)
+    g = ln_gamma(wctx, tw) if j == 0 else polygamma(wctx, j - 1, tw)
+    head, _ = _expansion(wctx, j - 1, tw, n)
+    a = ctx.mpf(g.value - head)
     return a if n % 2 == 0 else -a
 
 

@@ -1,0 +1,101 @@
+"""The exact and per-precision coefficient caches under concurrent first use.
+
+Each case runs in a fresh interpreter, so the caches start empty, with four
+threads released together and a tiny thread switch interval, so that the
+threads interleave inside the cache fills.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import cmlab
+from cmlab import PrecisionContext, polygamma
+
+from test_combinatorics import akiyama_tanigawa
+
+THREADS = 4
+MAX_BERNOULLI = 120
+POLYGAMMA_DIGITS = range(40, 70)
+
+_SCRIPT = """
+import json, sys, threading
+sys.setswitchinterval(1e-6)
+from cmlab import PrecisionContext, bernoulli, polygamma
+
+THREADS, MAX_BERNOULLI, DIGITS = %d, %d, range(%d, %d)
+
+
+def bernoulli_fill():
+    bernoulli(MAX_BERNOULLI)
+
+
+def polygamma_sweep():
+    for d in DIGITS:
+        polygamma(PrecisionContext(d), 3, "30")
+
+
+work = {"bernoulli": bernoulli_fill, "polygamma": polygamma_sweep}[sys.argv[1]]
+barrier = threading.Barrier(THREADS)
+errors = []
+
+
+def run():
+    barrier.wait()
+    try:
+        work()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+
+threads = [threading.Thread(target=run) for _ in range(THREADS)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join()
+print(json.dumps({
+    "errors": errors,
+    "bernoulli": [str(bernoulli(k)) for k in range(MAX_BERNOULLI + 1)],
+    "polygamma": [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS],
+}))
+""" % (
+    THREADS,
+    MAX_BERNOULLI,
+    POLYGAMMA_DIGITS.start,
+    POLYGAMMA_DIGITS.stop,
+)
+
+
+def _race_in_fresh_interpreter(work):
+    """Run ``work`` ("bernoulli" or "polygamma") on THREADS threads at once
+    in a new interpreter, then read the caches back single-threaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, work],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_bernoulli_filled_concurrently_is_exact():
+    result = _race_in_fresh_interpreter("bernoulli")
+    assert result["errors"] == []
+    wrong = [k for k, b in enumerate(result["bernoulli"]) if Fraction(b) != akiyama_tanigawa(k)]
+    assert wrong == []
+
+
+def test_polygamma_filled_concurrently_matches_single_thread():
+    # the threads fill the Bernoulli, exact and per-precision coefficient
+    # caches together; a duplicated entry shifts every later coefficient
+    result = _race_in_fresh_interpreter("polygamma")
+    assert result["errors"] == []
+    single = [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in POLYGAMMA_DIGITS]
+    assert result["polygamma"] == single

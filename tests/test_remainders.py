@@ -2,6 +2,7 @@
 the exact two-term envelope identity, sign structure, and tail limits.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +31,7 @@ def test_r0_at_one_closed_form():
 
 
 def test_r0_at_half_closed_form():
-    # R_0(1/2) = (1 - ln 2)/2, reached through the small-argument branch
+    # R_0(1/2) = (1 - ln 2)/2, below t = 1
     ctx = PrecisionContext(50)
     expected = (1 - ctx.ln(2)) / 2
     assert abs(remainder(ctx, 0, "0.5") - expected) < ctx.mpf(10) ** (-48)
@@ -52,8 +53,8 @@ def test_d1_at_one_closed_form():
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("t", ["0.1", "0.9"])
 def test_small_argument_branch_matches_raw_definition(n, t):
-    # the shifted-gamma reformulation must agree with the textbook formula,
-    # which is well conditioned at these points and safe to evaluate raw
+    # below t = 1 R_0 and R_1 must agree with the textbook formula, which is
+    # well conditioned at these points and safe to evaluate raw
     digits = 50
     ctx = PrecisionContext(digits)
     with mpmath.workdps(digits + 25):
@@ -185,3 +186,49 @@ def test_remainder_domain():
         remainder(ctx, 0, -2)
     with pytest.raises(DomainError):
         remainder_deriv(ctx, 1, 17, 1)
+
+
+def _remainder_deriv_oracle(n, j, t, digits):
+    """R_n^(j)(t) from mpmath's loggamma/polygamma minus the j-th derivative
+    of the Stirling head, written out term by term, at enough extra digits
+    to absorb the cancellation of size t^(2n+j+2)."""
+    extra = 30 + math.ceil((2 * n + j + 2) * max(0.0, math.log10(t)))
+    with mpmath.workdps(digits + extra):
+        tv = mpmath.mpf(t)
+        if j == 0:
+            g = mpmath.loggamma(tv)
+            head = (tv - mpmath.mpf(1) / 2) * mpmath.ln(tv) - tv + mpmath.ln(2 * mpmath.pi) / 2
+        else:
+            g = mpmath.polygamma(j - 1, tv)
+            # the (j-1)-th derivative of ln t - 1/(2t)
+            i = j - 1
+            if i == 0:
+                head = mpmath.ln(tv) - 1 / (2 * tv)
+            else:
+                head = (-1) ** (i - 1) * mpmath.factorial(i - 1) * tv ** (-i)
+                head -= (-1) ** i * mpmath.factorial(i) / (2 * tv ** (i + 1))
+        for k in range(1, n + 1):
+            # c_k t^(1-2k) differentiated j times: c_k <1-2k>_j t^(1-2k-j)
+            falling_j = math.prod(1 - 2 * k - i for i in range(j))
+            c_k = mpmath.bernoulli(2 * k) / (2 * k * (2 * k - 1))
+            head += c_k * falling_j * tv ** (1 - 2 * k - j)
+        value = g - head
+        return value if n % 2 == 0 else -value
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 30])
+def test_remainder_deriv_matches_mpmath_oracle(digits, n):
+    # R_n^(j) = (-1)^n (G - head) against an oracle built independently
+    # from mpmath's gamma-family routines, across both tails of the axis
+    ctx = PrecisionContext(digits)
+    failures = []
+    for j in (0, 1, 2, 5, 9, 16):
+        for t in (1e-8, 0.3, 5, 40, 1e4, 1e10):
+            want = _remainder_deriv_oracle(n, j, t, digits)
+            got = remainder_deriv(ctx, n, j, t)
+            with mpmath.workdps(digits + 10):
+                rel = abs(mpmath.mpf(got) - want) / abs(want)
+                if rel > mpmath.mpf(10) ** (3 - digits):
+                    failures.append((j, t, float(rel)))
+    assert not failures, failures
