@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Bracketing complete-monotonicity degrees.
 
-The degree of h is the largest r such that t^alpha (h - h(inf)) stays
-completely monotonic for every alpha up to r.  The estimator checks the
-sign pattern of the first J derivatives on a log grid and bisects alpha
-between a passing and a failing endpoint.  Everything here is a finite
+The degree of h (every family here tends to 0 at infinity) is the
+largest r such that t^alpha h stays completely monotonic for every alpha
+up to r.  The estimator checks the sign pattern of the first J
+derivatives on a log grid and bisects alpha between a passing and a
+failing endpoint.  Everything here is a finite
 certificate, not a proof: a pass means "no violation on this grid at
 this tolerance".
 
-Run:  python3 demos/demo_degree_estimation.py   (about a minute)
+Run:  python3 demos/demo_degree_estimation.py   (under 10 s)
 """
 
 from cmlab import (
@@ -85,8 +86,10 @@ def main():
             % (m, n, m, float(bracket.passed_alpha), float(bracket.failed_alpha))
         )
     print()
-    print("The first two straddle their proved values (2 and 3).  The last")
-    print("is open territory; the bracket records what this grid supports.")
+    print("Each probe bisects from alpha = 0 up to the first integer above")
+    print("its cap plus the resolution, which fails by construction.  The")
+    print("first two straddle their proved values (2 and 3).  The last is")
+    print("open territory; the bracket records what this grid supports.")
 
 
 if __name__ == "__main__":

@@ -162,23 +162,6 @@ def _cmd_eval(args) -> int:
 # -- degree -------------------------------------------------------------
 
 
-def _default_bracket(fn: str):
-    if fn == "lnminuspsi":
-        center = 1.0
-    elif fn in ("phi", "negR1prime"):
-        center = 2.0
-    elif fn.startswith("R:"):
-        n = int(fn.split(":")[1])
-        center = float(n) if n <= 1 else 2.0 * (n - 1)
-    else:  # negRprime:n
-        n = int(fn.split(":")[1])
-        if n <= 1:
-            center = float(n + 1)
-        else:
-            center = 2.0 * n - 0.5
-    return max(0.0, center - 1.0), center + 1.0
-
-
 def _cmd_degree(args) -> int:
     families = builtin_families()
     if args.fn not in families:
@@ -186,27 +169,27 @@ def _cmd_degree(args) -> int:
             "unknown family %r; expected one of %s" % (args.fn, ", ".join(sorted(families)))
         )
     ctx = PrecisionContext(args.digits)
-    alpha_lo, alpha_hi = (ctx.mpf(a) for a in _default_bracket(args.fn))
+    # only the ends the user typed; degree_estimate chooses the others
+    ends = {}
     if args.alpha_lo is not None:
-        alpha_lo = _parse_number(ctx, args.alpha_lo, "--alpha-lo")
+        ends["alpha_lo"] = _parse_number(ctx, args.alpha_lo, "--alpha-lo")
     if args.alpha_hi is not None:
-        alpha_hi = _parse_number(ctx, args.alpha_hi, "--alpha-hi")
+        ends["alpha_hi"] = _parse_number(ctx, args.alpha_hi, "--alpha-hi")
     resolution = _parse_number(ctx, args.resolution, "--resolution")
     grid = GridSpec(*_split_grid(args.grid))
 
     bracket = degree_estimate(
         ctx,
         families[args.fn],
-        alpha_lo,
-        alpha_hi,
         resolution=resolution,
         order=args.order,
         grid=grid,
+        **ends,
     )
     payload = {
         "config": {
-            "alpha_hi": _fmt(ctx, alpha_hi),
-            "alpha_lo": _fmt(ctx, alpha_lo),
+            "alpha_hi": _fmt(ctx, ends["alpha_hi"]) if "alpha_hi" in ends else None,
+            "alpha_lo": _fmt(ctx, ends["alpha_lo"]) if "alpha_lo" in ends else None,
             "digits": ctx.digits,
             "fn": args.fn,
             "grid": args.grid,
@@ -292,8 +275,13 @@ def _build_parser():
         required=True,
         help="lnminuspsi | phi | negR1prime | R:n | negRprime:n (n = 0..6)",
     )
-    p_deg.add_argument("--alpha-lo", default=None, help="passing endpoint (default per family)")
-    p_deg.add_argument("--alpha-hi", default=None, help="failing endpoint (default per family)")
+    p_deg.add_argument("--alpha-lo", default=None, help="passing endpoint (default 0)")
+    p_deg.add_argument(
+        "--alpha-hi",
+        default=None,
+        help="failing endpoint (default: the first integer above "
+        "first_deriv_bound + resolution)",
+    )
     p_deg.add_argument("--resolution", default="0.05", help="bracket width target")
     p_deg.add_argument("--order", type=int, default=8, help="highest derivative order checked")
     p_deg.add_argument("--grid", default="1e-10:1e3:400", help="a:b:count evaluation grid")

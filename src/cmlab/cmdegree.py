@@ -1,11 +1,11 @@
 """Numerical complete-monotonicity checking and degree bracketing.
 
-For a function h with known limit L at infinity, the shifted function
-h - L is tested for complete monotonicity after multiplication by t^alpha:
-g(t) = t^alpha (h(t) - L) and the check requires (-1)^j g^(j)(t) >= -tol
-for every derivative order j <= J on every point of a grid.  The degree of
-h - L is the largest alpha for which g stays completely monotonic, so a
-bisection on alpha between a passing and a failing endpoint brackets it.
+Every family tends to 0 at infinity, so h itself is tested for complete
+monotonicity after multiplication by t^alpha: g(t) = t^alpha h(t) and the
+check requires (-1)^j g^(j)(t) >= -10^-(digits//2) for every derivative
+order j <= J on every point of a grid.  The degree of h is the largest
+alpha for which g stays completely monotonic, so a bisection on alpha
+between a passing and a failing endpoint brackets it.
 
 The check is one-sided by construction: a failure is a certificate (an
 explicit (j, t) witness up to rounding), while a pass only says no
@@ -52,21 +52,17 @@ DEFAULT_GRID = GridSpec(1e-10, 1e3, 400)
 #: grid used by :func:`conjecture_probe`
 PROBE_GRID = GridSpec(1e-8, 1e3, 300)
 
-_BISECT_CAP = 200
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
     """A function together with its analytic derivatives.
 
     ``eval_deriv(ctx, j, t)`` returns the j-th derivative at t (j = 0 is
-    the function itself, not shifted); ``limit_at_infinity`` is subtracted
-    from the order-0 values before monotonicity is tested.
+    the function itself); the function must tend to 0 at infinity.
     """
 
     name: str
     eval_deriv: Callable
-    limit_at_infinity: object = 0
     max_order: int = 12
 
 
@@ -105,14 +101,11 @@ class DegreeBracket:
         return self.passed_alpha <= x <= self.failed_alpha
 
 
-def _h_value(ctx, family, cache, limit, order, idx, pts):
+def _h_value(ctx, family, cache, order, idx, pts):
     key = (order, idx)
     val = cache.get(key)
     if val is None:
-        val = ctx.mpf(family.eval_deriv(ctx, order, pts[idx]))
-        if order == 0:
-            val = val - limit
-        cache[key] = val
+        val = cache[key] = ctx.mpf(family.eval_deriv(ctx, order, pts[idx]))
     return val
 
 
@@ -122,10 +115,10 @@ def cm_check(
     alpha,
     order: int = 8,
     grid: Optional[GridSpec] = None,
-    tol=None,
     _cache=None,
 ) -> CMCheckResult:
-    """Test (-1)^j [t^alpha (h - L)]^(j) >= -tol for all j <= order on the grid.
+    """Test (-1)^j [t^alpha h]^(j) >= -10^-(digits//2) for all j <= order
+    on the grid.
 
     ``_cache`` may be a dict shared between calls with the same context,
     family and grid; it memoizes the family's derivative values, which
@@ -146,10 +139,9 @@ def cm_check(
         raise DomainError("alpha must be finite and >= 0, got %s" % alpha0)
     if grid is None:
         grid = DEFAULT_GRID
-    tol0 = ctx.mpf(10) ** (-(ctx.digits // 2)) if tol is None else ctx.mpf(tol)
+    tol = ctx.mpf(10) ** (-(ctx.digits // 2))
     pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
-    limit = ctx.mpf(family.limit_at_infinity)
 
     # falling factorials of alpha: d^i/dt^i t^alpha = fall[i] t^(alpha-i)
     fall = [ctx.mpf(1)]
@@ -166,11 +158,11 @@ def cm_check(
             acc = ctx.mpf(0)
             for i in range(j + 1):
                 acc += math.comb(j, i) * fall[i] * cur * _h_value(
-                    ctx, family, cache, limit, j - i, idx, pts
+                    ctx, family, cache, j - i, idx, pts
                 )
                 cur = cur / t
             signed = -acc if negate else acc
-            if not signed >= -tol0:
+            if not signed >= -tol:
                 return CMCheckResult(False, j, +t, signed)
     return CMCheckResult(True)
 
@@ -181,30 +173,28 @@ def first_deriv_bound(
     grid: Optional[GridSpec] = None,
     _cache=None,
 ):
-    """inf over the grid of -t h'(t) / (h(t) - L).
+    """inf over the grid of -t h'(t) / h(t).
 
     Any alpha above this value fails the j = 1 check at the minimizing
     grid point, so it is a grid-certified upper bound for ``passed_alpha``
-    (up to tolerance).  Points where the shifted function is not positive
-    are skipped.
+    (up to tolerance).  Points where h is not positive are skipped.
     """
     if grid is None:
         grid = DEFAULT_GRID
     pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
-    limit = ctx.mpf(family.limit_at_infinity)
     best = None
     for idx, t in enumerate(pts):
-        h0 = _h_value(ctx, family, cache, limit, 0, idx, pts)
+        h0 = _h_value(ctx, family, cache, 0, idx, pts)
         if not h0 > 0:
             continue
-        h1 = _h_value(ctx, family, cache, limit, 1, idx, pts)
+        h1 = _h_value(ctx, family, cache, 1, idx, pts)
         val = -t * h1 / h0
         if best is None or val < best:
             best = val
     if best is None:
         raise DomainError(
-            "first_deriv_bound: %s - limit is nonpositive on the whole grid" % family.name
+            "first_deriv_bound: %s is nonpositive on the whole grid" % family.name
         )
     return best
 
@@ -212,54 +202,59 @@ def first_deriv_bound(
 def degree_estimate(
     ctx: PrecisionContext,
     family: FunctionFamily,
-    alpha_lo,
-    alpha_hi,
+    alpha_lo=0,
+    alpha_hi=None,
     resolution=0.05,
     order: int = 8,
     grid: Optional[GridSpec] = None,
-    tol=None,
 ) -> DegreeBracket:
     """Bisect alpha between a passing and a failing endpoint.
 
     ``alpha_lo`` must pass and ``alpha_hi`` must fail, otherwise a
     :class:`BracketError` reports the offending endpoint (with the failure
-    witness where there is one).  The returned bracket has width at most
-    ``resolution``.
+    witness where there is one).  Without ``alpha_hi`` the failing end is
+    the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
+    ``resolution``: every alpha above the bound fails the j = 1 check.  The
+    returned bracket has width at most ``resolution``; a resolution below
+    the working precision's spacing near the ends is a :class:`DomainError`.
     """
     lo = ctx.mpf(alpha_lo)
-    hi = ctx.mpf(alpha_hi)
-    if not lo < hi:
-        raise DomainError("need alpha_lo < alpha_hi, got %s >= %s" % (lo, hi))
     res = ctx.mpf(resolution)
     if not res > 0:
         raise DomainError("resolution must be positive, got %s" % res)
+    if alpha_hi is not None and not lo < ctx.mpf(alpha_hi):
+        raise DomainError("need alpha_lo < alpha_hi, got %s >= %s" % (lo, alpha_hi))
     if grid is None:
         grid = DEFAULT_GRID
     cache = {}
 
-    r_lo = cm_check(ctx, family, lo, order=order, grid=grid, tol=tol, _cache=cache)
+    r_lo = cm_check(ctx, family, lo, order=order, grid=grid, _cache=cache)
     if not r_lo.passed:
         raise BracketError(
             "alpha_lo=%s already fails for %s: derivative %s at t=%s gave %s"
             % (lo, family.name, r_lo.order, r_lo.t, r_lo.value)
         )
-    r_hi = cm_check(ctx, family, hi, order=order, grid=grid, tol=tol, _cache=cache)
+    bound = first_deriv_bound(ctx, family, grid=grid, _cache=cache)
+    hi = ctx.mpf(int(max(bound, lo) + res) + 1 if alpha_hi is None else alpha_hi)
+    if res < ctx.eps * max(1, abs(lo), abs(hi)):
+        raise DomainError(
+            "resolution %s is below the spacing of %d-digit numbers near [%s, %s]"
+            % (res, ctx.digits, lo, hi)
+        )
+    logger.info("degree_estimate(%s): bisecting alpha in [%s, %s]", family.name, lo, hi)
+    r_hi = cm_check(ctx, family, hi, order=order, grid=grid, _cache=cache)
     if r_hi.passed:
         raise BracketError(
             "alpha_hi=%s still passes for %s; the bracket must straddle the degree"
             % (hi, family.name)
         )
 
-    steps = 0
-    while hi - lo > res and steps < _BISECT_CAP:
+    while hi - lo > res:
         mid = (lo + hi) / 2
-        if cm_check(ctx, family, mid, order=order, grid=grid, tol=tol, _cache=cache).passed:
+        if cm_check(ctx, family, mid, order=order, grid=grid, _cache=cache).passed:
             lo = mid
         else:
             hi = mid
-        steps += 1
-
-    bound = first_deriv_bound(ctx, family, grid=grid, _cache=cache)
     return DegreeBracket(lo, hi, order, grid, bound)
 
 
@@ -313,8 +308,7 @@ def conjecture_probe(
 ) -> DegreeBracket:
     """EXPLORATORY bracket for the degree of (-1)^m R_n^(m).
 
-    Centers the starting bracket on m + n for n <= 1 and m + 2(n - 1)
-    for n >= 2 and bisects from [center - 1, center + 1].  Only the cases
+    Bisects from :func:`degree_estimate`'s default start.  Only the cases
     with proved degrees (small n, m) are certificates; everything else is
     a finite-grid observation, and the log record says so.
     """
@@ -325,17 +319,16 @@ def conjecture_probe(
     n = int(n)
     m = int(m)
     fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m, max_order=12 - m)
-    center = m + n if n <= 1 else m + 2 * (n - 1)
-    lo = max(0, center - 1)
-    hi = center + 1
     if grid is None:
         grid = PROBE_GRID
+    bracket = degree_estimate(ctx, fam, resolution=resolution, order=order, grid=grid)
     logger.info(
-        "conjecture_probe(n=%d, m=%d): EXPLORATORY bracket around alpha=%d; "
+        "conjecture_probe(n=%d, m=%d): EXPLORATORY bracket [%s, %s]; "
         "a pass is only as strong as the grid and order=%d allow",
         n,
         m,
-        center,
+        bracket.passed_alpha,
+        bracket.failed_alpha,
         order,
     )
-    return degree_estimate(ctx, fam, lo, hi, resolution=resolution, order=order, grid=grid)
+    return bracket

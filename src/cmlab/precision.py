@@ -117,31 +117,11 @@ class PrecisionContext:
     def sin(self, x):
         return self._finite("sin", self._mp.sin(self.mpf(x)), x)
 
-    def cos(self, x):
-        return self._finite("cos", self._mp.cos(self.mpf(x)), x)
-
-    def sqrt(self, x):
-        x = self.mpf(x)
-        if x < 0:
-            raise DomainError("sqrt requires a nonnegative argument, got %s" % x)
-        return self._finite("sqrt", self._mp.sqrt(x), x)
-
     def power(self, x, a):
         x = self.mpf(x)
         if x <= 0:
             raise DomainError("pow requires a positive base, got %s" % x)
         return self._finite("pow", self._mp.power(x, self.mpf(a)), x)
-
-    def coth(self, v):
-        """coth(v) through 2/(1 - e^{-2v}) - 1, which stays exact as the
-        hyperbolic tail dies off (no large-v cancellation)."""
-        v = self.mpf(v)
-        if v == 0:
-            raise DomainError("coth requires a nonzero argument")
-        if v < 0:
-            return -self.coth(-v)
-        em = self._mp.exp(-2 * v)
-        return self._finite("coth", 2 / (1 - em) - 1, v)
 
     def _finite(self, name, value, arg):
         if not self._mp.isfinite(value):

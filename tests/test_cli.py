@@ -121,6 +121,9 @@ def test_degree_json(capsys):
     payload = json.loads(out)
     assert payload["config"]["fn"] == "lnminuspsi"
     assert payload["config"]["order"] == 4
+    # no ends were typed, so degree_estimate chose both
+    assert payload["config"]["alpha_lo"] is None
+    assert payload["config"]["alpha_hi"] is None
     result = payload["result"]
     assert set(result) == {
         "failed_alpha",
@@ -175,6 +178,27 @@ def test_degree_bad_bracket_exit_code(capsys):
     )
     assert code == 4
     capsys.readouterr()
+
+
+def test_degree_unreachable_resolution_exit_code(capsys):
+    # 20-digit numbers near alpha = 1 are about 1e-21 apart
+    code = main(
+        [
+            "degree",
+            "--fn",
+            "lnminuspsi",
+            "--resolution",
+            "1e-30",
+            "--grid",
+            "1e-6:1e3:20",
+            "--order",
+            "2",
+            "--digits",
+            "20",
+        ]
+    )
+    assert code == 3
+    assert "resolution" in capsys.readouterr().err
 
 
 def test_verify_remark4_quick(capsys):

@@ -1,5 +1,7 @@
 """Grid-certified complete-monotonicity checks and degree bisection."""
 
+import math
+
 import pytest
 
 from cmlab import (
@@ -27,6 +29,22 @@ def exp_family():
         return val if j % 2 == 0 else -val
 
     return FunctionFamily("exp-decay", eval_deriv)
+
+
+def inverse_family():
+    # 1/t: t^alpha / t is completely monotonic exactly for alpha <= 1
+    def eval_deriv(ctx, j, t):
+        return (-1) ** j * math.factorial(j) * ctx.mpf(t) ** (-j - 1)
+
+    return FunctionFamily("inverse", eval_deriv)
+
+
+def increasing_family():
+    # 1 - e^{-t} grows, so -t h'/h < 0 everywhere and even alpha = 0 fails
+    def eval_deriv(ctx, j, t):
+        return -ctx.expm1(-t) if j == 0 else (-1) ** (j + 1) * ctx.exp(-t)
+
+    return FunctionFamily("increasing", eval_deriv)
 
 
 def test_builtin_families_catalog():
@@ -155,6 +173,47 @@ def test_degree_estimate_bad_endpoints():
         degree_estimate(ctx, fam, 1, 1, order=4, grid=COARSE)
     with pytest.raises(DomainError):
         degree_estimate(ctx, fam, 0.5, 1.5, resolution=0, order=4, grid=COARSE)
+
+
+@pytest.mark.parametrize(
+    "name,lo,hi",
+    [("lnminuspsi", 1, 1), ("phi", 2, 2), ("negRprime:2", 3, 4), ("negRprime:3", 5, 6)],
+)
+def test_degree_estimate_default_start_brackets_known_degrees(name, lo, hi):
+    # no ends given: the bisection starts from [0, first integer above the
+    # first-derivative bound], and the bracket meets the known degree
+    # interval (for n >= 2 the paper proves 2n - 1 <= deg(-R_n') <= 2n)
+    ctx = PrecisionContext(30)
+    bracket = degree_estimate(ctx, builtin_families()[name], resolution=0.1, order=6, grid=COARSE)
+    assert bracket.width <= ctx.mpf("0.1")
+    if lo == hi:
+        assert lo in bracket
+    else:
+        assert lo <= bracket.passed_alpha < bracket.failed_alpha <= hi
+    assert bracket.passed_alpha <= bracket.first_deriv_bound
+
+
+def test_degree_estimate_default_start_rejects_increasing_family():
+    ctx = PrecisionContext(30)
+    fam = increasing_family()
+    assert first_deriv_bound(ctx, fam, grid=COARSE) < 0
+    with pytest.raises(BracketError, match="alpha_lo=0.0 already fails"):
+        degree_estimate(ctx, fam, resolution=0.25, order=4, grid=COARSE)
+
+
+def test_degree_estimate_rejects_unreachable_resolution():
+    # near alpha = 1, 20-digit numbers are about 1e-21 apart: bisection can
+    # never get the bracket down to 1e-30
+    ctx = PrecisionContext(20)
+    fam = inverse_family()
+    with pytest.raises(DomainError, match="resolution"):
+        degree_estimate(ctx, fam, "0.5", "1.5", resolution="1e-30", order=4, grid=COARSE)
+    with pytest.raises(DomainError, match="resolution"):
+        degree_estimate(ctx, exp_family(), 0, 1, resolution="1e-30", order=4, grid=COARSE)
+    # a resolution a few spacings wide is still reached
+    bracket = degree_estimate(ctx, fam, "0.5", "1.5", resolution="1e-19", order=4, grid=COARSE)
+    assert 0 < bracket.width <= ctx.mpf("1e-19")
+    assert 1 in bracket
 
 
 PROBE_SMALL = GridSpec(1e-8, 1e3, 120)

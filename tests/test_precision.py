@@ -15,12 +15,6 @@ from cmlab import (
     remainder_deriv,
 )
 
-# coth(1) to 80 digits, from an independent high-precision evaluation
-COTH_1 = (
-    "1.31303528549933130363616124693084783291201394124045265554315296756708427046187"
-    "4383"
-)
-
 
 def test_default_digits():
     ctx = PrecisionContext()
@@ -109,25 +103,12 @@ def test_eps_matches_digits():
     assert ctx.eps == ctx.mpf(10) ** (-33)
 
 
-def test_coth_against_frozen_value():
-    ctx = PrecisionContext(60)
-    dev = abs(ctx.coth(1) - ctx.mpf(COTH_1))
-    assert dev < ctx.mpf(10) ** (-58)
-    # odd reflection
-    assert ctx.coth(-1) == -ctx.coth(1)
-
-
-def test_coth_large_argument_stays_finite():
-    ctx = PrecisionContext(30)
-    assert ctx.coth(800) == 1  # tail below resolution, no overflow
-
-
 @pytest.mark.parametrize(
     "which,args",
     [
         ("ln", (0,)),
         ("ln", (-2,)),
-        ("coth", (0,)),
+        ("exp", ("inf",)),
         ("pow", (-1, "0.5")),
         ("pow", (0, 2)),
     ],
@@ -143,7 +124,6 @@ def test_elementary_values():
     ctx = PrecisionContext(30)
     assert ctx.exp(0) == 1
     assert abs(ctx.sin(ctx.pi)) < ctx.mpf(10) ** (-28)
-    assert abs(ctx.cos(0) - 1) == 0
     assert abs(ctx.power(2, 10) - 1024) == 0
 
 
