@@ -3,7 +3,7 @@
 
 -R_n'(t) is the Laplace transform of f_n(v), so positivity questions about
 remainders become sign questions about kernels.  This script walks the
-kernel family: the two evaluation branches of f_n, the derivative ladder
+kernel family: f_n on both sides of its branch point, the derivative ladder
 of the Bose factor 1/(e^v - 1), the K_m family with its odd/even split,
 and the five-expression derivative chain that settles K_2 > 0.
 
@@ -12,7 +12,6 @@ Run:  python3 demos/demo_kernels.py
 
 from cmlab import (
     GridSpec,
-    KernelSpec,
     K_kernel,
     PrecisionContext,
     bose_derivative,
@@ -32,10 +31,6 @@ def main():
         vals = [float(f_kernel(ctx, n, v)) for n in (0, 1, 2)]
         print("%-8s %-20.10e %-20.10e %-20.10e" % ((v,) + tuple(vals)))
     print()
-    v = ctx.mpf("0.4999")
-    s = f_kernel(ctx, KernelSpec(1, form="series"), v)
-    c = f_kernel(ctx, KernelSpec(1, form="closed"), v)
-    print("branch agreement at v=0.4999: |series - closed| = %.2e" % float(abs(s - c)))
     print("every f_n starts negative: f_n(0.01) = %s ..." % ", ".join(
         "%.1e" % float(f_kernel(ctx, n, "0.01")) for n in (0, 1, 2)
     ))

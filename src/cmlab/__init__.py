@@ -22,7 +22,6 @@ from .combinatorics import bernoulli, falling, stirling2, zeta_even
 from .errors import BracketError, DomainError, IntegrationError
 from .gammakit import GammaEval, ln_gamma, polygamma
 from .kernels import (
-    KernelSpec,
     Remark1Chain,
     SignReport,
     K_kernel,
@@ -79,7 +78,6 @@ __all__ = [
     "ln_gamma",
     "polygamma",
     # kernels
-    "KernelSpec",
     "f_kernel",
     "bose_derivative",
     "K_kernel",

@@ -245,12 +245,6 @@ def _cmd_verify(args) -> int:
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=50, help="working precision (default 50)")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="eval output format; degree and verify always emit JSON",
-    )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -268,6 +262,7 @@ def _build_parser():
     )
     p_eval.add_argument("--t", default=None, help="single evaluation point")
     p_eval.add_argument("--grid", default=None, help="a:b:count log-spaced points")
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p_deg = sub.add_parser("degree", parents=[common], help="bracket a monotonicity degree")
     p_deg.add_argument(

@@ -199,6 +199,15 @@ def first_deriv_bound(
     return best
 
 
+def _check_resolution(ctx, res, *ends):
+    scale = max([1] + [abs(e) for e in ends if e is not None])
+    if res < ctx.eps * scale:
+        raise DomainError(
+            "resolution %s is below the spacing of %d-digit numbers near %s"
+            % (res, ctx.digits, scale)
+        )
+
+
 def degree_estimate(
     ctx: PrecisionContext,
     family: FunctionFamily,
@@ -216,14 +225,17 @@ def degree_estimate(
     the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
     ``resolution``: every alpha above the bound fails the j = 1 check.  The
     returned bracket has width at most ``resolution``; a resolution below
-    the working precision's spacing near the ends is a :class:`DomainError`.
+    the working precision's spacing near the ends is a :class:`DomainError`,
+    raised before any evaluation when both ends are given.
     """
     lo = ctx.mpf(alpha_lo)
+    hi = None if alpha_hi is None else ctx.mpf(alpha_hi)
     res = ctx.mpf(resolution)
     if not res > 0:
         raise DomainError("resolution must be positive, got %s" % res)
-    if alpha_hi is not None and not lo < ctx.mpf(alpha_hi):
+    if hi is not None and not lo < hi:
         raise DomainError("need alpha_lo < alpha_hi, got %s >= %s" % (lo, alpha_hi))
+    _check_resolution(ctx, res, lo, hi)
     if grid is None:
         grid = DEFAULT_GRID
     cache = {}
@@ -235,12 +247,9 @@ def degree_estimate(
             % (lo, family.name, r_lo.order, r_lo.t, r_lo.value)
         )
     bound = first_deriv_bound(ctx, family, grid=grid, _cache=cache)
-    hi = ctx.mpf(int(max(bound, lo) + res) + 1 if alpha_hi is None else alpha_hi)
-    if res < ctx.eps * max(1, abs(lo), abs(hi)):
-        raise DomainError(
-            "resolution %s is below the spacing of %d-digit numbers near [%s, %s]"
-            % (res, ctx.digits, lo, hi)
-        )
+    if hi is None:
+        hi = ctx.mpf(int(max(bound, lo) + res) + 1)
+        _check_resolution(ctx, res, lo, hi)
     logger.info("degree_estimate(%s): bisecting alpha in [%s, %s]", family.name, lo, hi)
     r_hi = cm_check(ctx, family, hi, order=order, grid=grid, _cache=cache)
     if r_hi.passed:

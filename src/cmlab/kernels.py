@@ -9,7 +9,9 @@ whose Laplace transform gives R_n'(t).  Near the origin the closed form
 cancels catastrophically, so below v = 1/2 everything switches to the
 Taylor series f_n(v) = (-1)^{n+1} sum_{k>=n+1} B_{2k} v^{2k-1}/(2k)!
 (convergent for |v| < 2 pi).  Above the branch point the closed form is
-used with a precision boost sized to the known cancellation.
+used with a precision boost sized to the known cancellation.  One routine
+makes that choice for f_n and for each derivative f_n^(ell); ``f_kernel``
+is its ell = 0 case, and ``K_kernel`` its ell = m case up to sign.
 
 High derivatives of 1/v - (1/2) coth(v/2) are never taken numerically:
 the Bose factor 1/(e^v - 1) has the exact Stirling-number derivative
@@ -29,7 +31,6 @@ from .errors import DomainError
 from .precision import GridSpec, PrecisionContext
 
 __all__ = [
-    "KernelSpec",
     "f_kernel",
     "bose_derivative",
     "K_kernel",
@@ -42,23 +43,6 @@ __all__ = [
 _SERIES_BRANCH = Fraction(1, 2)  # below this, Taylor series; above, closed form
 _SERIES_CAP = 300  # Taylor terms allowed before the series gives up
 _TWO_PI_FLOAT = 2 * math.pi
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Selects a kernel f_n and pins the evaluation branch.
-
-    ``form="series"`` is only valid for |v| < 2 pi.
-    """
-
-    n: int
-    form: str = "auto"
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
-            raise DomainError("KernelSpec.n must be a non-negative integer, got %r" % (self.n,))
-        if self.form not in ("auto", "closed", "series"):
-            raise DomainError("KernelSpec.form must be auto/closed/series, got %r" % (self.form,))
 
 
 # B_{2k}/(2k)! as exact fractions, index k-1; filled under the lock, read
@@ -89,28 +73,23 @@ def _c_closed(wctx: PrecisionContext, v):
     return 1 / v - wctx.mpf(1) / 2 - 1 / wctx.expm1(v)
 
 
-def f_kernel(ctx: PrecisionContext, n, v):
-    """Evaluate f_n(v) for v > 0.
+def f_kernel(ctx: PrecisionContext, n: int, v):
+    """Evaluate f_n(v) for integer n >= 0 and v > 0 (series below v = 1/2,
+    closed form above)."""
+    if int(n) != n or n < 0:
+        raise DomainError("f_kernel requires integer n >= 0, got %r" % (n,))
+    return _f_deriv(ctx, int(n), 0, v)
 
-    ``n`` may be a plain non-negative integer (branch chosen automatically
-    at v = 1/2) or a KernelSpec forcing a branch.
-    """
-    if isinstance(n, KernelSpec):
-        spec = n
-    else:
-        spec = KernelSpec(int(n))
+
+def _f_deriv(ctx, n, ell, v):
+    """d^ell/dv^ell of f_n at v > 0: the Taylor series below v = 1/2, the
+    closed form above."""
     v0 = ctx.mpf(v)
     if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("f_kernel requires v > 0, got %s" % v0)
-
-    form = spec.form
-    if form == "auto":
-        form = "series" if v0 < ctx.mpf(_SERIES_BRANCH) else "closed"
-    if form == "series":
-        if not v0 < 2 * ctx.pi:
-            raise DomainError("series form of f_n is only valid for v < 2*pi, got %s" % v0)
-        return _f_series(ctx, spec.n, v0, 0)
-    return _f_closed(ctx, spec.n, v0, 0, _closed_boost(2 * spec.n, float(v0)))
+        raise DomainError("f_%d^(%d) requires v > 0, got %s" % (n, ell, v0))
+    if v0 < ctx.mpf(_SERIES_BRANCH):
+        return _f_series(ctx, n, v0, ell)
+    return _f_closed(ctx, n, v0, ell)
 
 
 def _f_series(ctx, n, v, ell):
@@ -140,10 +119,11 @@ def _f_series(ctx, n, v, ell):
     return sign * total
 
 
-def _f_closed(ctx, n, v, ell, boost):
-    """d^ell/dv^ell of f_n by its closed form, under ``boost`` extra digits
-    (derivative of 1/v exactly, Bose factor via the Stirling identity)."""
-    wctx = ctx.boosted(boost)
+def _f_closed(ctx, n, v, ell):
+    """d^ell/dv^ell of f_n by its closed form, under a precision boost sized
+    to the cancellation (derivative of 1/v exactly, Bose factor via the
+    Stirling identity)."""
+    wctx = ctx.boosted(_closed_boost(2 * n if ell == 0 else ell + 1, float(v)))
     vv = wctx.mpf(v)
     if ell == 0:
         acc = _c_closed(wctx, vv)
@@ -205,17 +185,12 @@ def K_kernel(ctx: PrecisionContext, m: int, v):
     if int(m) != m or m < 1:
         raise DomainError("K_kernel requires integer m >= 1, got %r" % (m,))
     m = int(m)
-    v0 = ctx.mpf(v)
-    if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("K_kernel requires v > 0, got %s" % v0)
     # K_m = (-1)^n f_n^(m) with n = (m+1)//2: the falling factorials in
     # f_n^(m) kill every k < n term, and for odd m = 2n-1 the k = n term is
     # exactly the added constant, while for even m it vanishes too
     n = (m + 1) // 2
     sign = 1 if n % 2 == 0 else -1
-    if v0 < ctx.mpf(_SERIES_BRANCH):
-        return sign * _f_series(ctx, n, v0, m)
-    return sign * _f_closed(ctx, n, v0, m, _closed_boost(m + 1, float(v0)))
+    return sign * _f_deriv(ctx, n, m, v)
 
 
 @dataclass

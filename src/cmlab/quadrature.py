@@ -10,8 +10,12 @@ Covers the four integral shapes the package needs:
 The engine is deliberately simple and certifiable: panels integrated by
 *nested pairs* of Gauss-Legendre rules (a rising pair must agree to the
 panel tolerance, otherwise the panel is bisected), plus analytic
-exponential tail bounds for the cutoff.  Oscillatory integrands get panels
-aligned to half-periods so each panel is smooth and non-oscillatory.
+exponential tail bounds for the cutoff.  All four shapes run the same
+panel march and differ only in their panels and their tail bound:
+doubling panels for ``laplace`` and ``bose_moment``, and panels aligned to
+half-periods for the oscillatory integrands, so each panel is smooth and
+non-oscillatory.  ``bose_moment`` and the oscillatory integrals share one
+exponential-envelope tail.
 
 Two stability rules are applied throughout: 1 - cos(x) is always evaluated
 as 2 sin^2(x/2), and 1/(e^x - 1) always goes through expm1.
@@ -129,18 +133,60 @@ def _integrate_panel(ctx, f, a, b, panel_tol, budget, degree=5, depth=0):
     return v1 + v2, e1 + e2
 
 
-def _exp_tail_bound(ctx, U, p, c):
-    """Bound int_U^inf u^p e^{-cu} du <= U^p e^{-cU} / (c - p/U).
+def _envelope_tail(ctx, p, rate, amp=1):
+    """Tail bound b -> amp int_b^inf u^p e^{-rate u} du / (1 - e^{-rate b})
+    for an integrand bounded by amp u^p / (e^{rate u} - 1).
 
-    Valid whenever cU > p (geometric-majorant argument on the shifted
-    series).  Returns None when the premise fails and the caller must keep
-    integrating panels instead of cutting off.
+    The integral is at most b^p e^{-rate b} / (rate - p/b) once rate b > p
+    (geometric majorant on the shifted series); before that it is None.
     """
-    U = ctx.mpf(U)
-    c = ctx.mpf(c)
-    if c * U <= p:
-        return None
-    return ctx.power(U, p) * ctx.exp(-c * U) / (c - ctx.mpf(p) / U)
+
+    def tail(b):
+        if rate * b <= p:
+            return None
+        env = ctx.power(b, p) * ctx.exp(-rate * b) / (rate - ctx.mpf(p) / b)
+        return amp * env / (1 - ctx.exp(-rate * b))
+
+    return tail
+
+
+def _doubling_panels(ctx, a, b, tol):
+    """Panels [a, b], [b, 2b], [2b, 4b], ... with tolerance tol/2^(i+3) for
+    the i-th, at most 201 of them."""
+    for idx in range(201):
+        yield a, b, tol / ctx.mpf(2) ** (idx + 3)
+        a, b = b, 2 * b
+
+
+def _half_period_panels(ctx, freq, p, rate, tol):
+    """Unending panels one half-period pi/freq wide (capped at 1) from 0,
+    each with tolerance tol / (8 n_est), where n_est estimates how many pass
+    before the envelope tail of u^p / (e^{rate u} - 1) engages."""
+    width = min(ctx.mpf(1), ctx.pi / freq)
+    panel_tol = tol / (8 * _estimate_panels(float(tol), p, float(rate), float(width)))
+    a = ctx.mpf(0)
+    while True:
+        yield a, a + width, panel_tol
+        a += width
+
+
+def _march(ctx, integrand, panels, tail, tol, bud, degree=5, total=0, err=0):
+    """The one panel loop: add each panel's integral and error to ``total``
+    and ``err`` until tail(b) (None while no bound holds) drops below
+    tol/4, then add the tail to the error.  Raises IntegrationError when
+    the panels run out first."""
+    total = ctx.mpf(total)
+    err = ctx.mpf(err)
+    for a, b, panel_tol in panels:
+        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree)
+        total += val
+        err += perr
+        rest = tail(b)
+        if rest is not None and rest < tol / 4:
+            return IntegralResult(total, err + rest, bud.used)
+    raise IntegrationError(
+        "tail bound did not engage before the panels ran out", est_error=err, evaluations=bud.used
+    )
 
 
 # -- Laplace transforms ------------------------------------------------
@@ -172,29 +218,11 @@ def laplace(
     def integrand(v):
         return kernel(v) * ctx.exp(-t * v)
 
-    total = ctx.mpf(0)
-    err = ctx.mpf(0)
-    a = ctx.mpf(0)
-    idx = 0
-    while True:
-        b = ctx.mpf(1) if a == 0 else 2 * a
-        panel_tol = tol / ctx.mpf(2) ** (idx + 3)
-        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud)
-        total += val
-        err += perr
+    def tail(b):
+        return _laplace_tail(ctx, kernel, t, b, bud, kernel_bound)
 
-        tail = _laplace_tail(ctx, kernel, t, b, bud, kernel_bound)
-        if tail is not None and tail < tol / 4:
-            err += tail
-            break
-        a, idx = b, idx + 1
-        if idx > 200:
-            raise IntegrationError(
-                "tail bound did not engage before panel cap",
-                est_error=err,
-                evaluations=bud.used,
-            )
-    return IntegralResult(total, err, bud.used)
+    panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1), tol)
+    return _march(ctx, integrand, panels, tail, tol, bud)
 
 
 def _laplace_tail(ctx, kernel, t, b, bud, kernel_bound):
@@ -245,37 +273,14 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
     def integrand(w):
         return ctx.power(w, s) / ctx.expm1(two_pi * w)
 
-    total = ctx.mpf(0)
-    err = ctx.mpf(0)
-    is_int = s == int(s)
-    if is_int:
-        a = ctx.mpf(0)
-    else:
-        a = ctx.mpf(1) / 8
-        val, serr = _bose_corner_series(ctx, s, a, tol / 8)
-        total += val
-        err += serr
-
-    idx = 0
-    while True:
-        b = ctx.mpf(1) / 2 if a == 0 else 2 * a  # 1/2 after 0, else double
-        panel_tol = tol / ctx.mpf(2) ** (idx + 3)
-        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud)
-        total += val
-        err += perr
-        # tail: w^s e^{-2 pi w} / (1 - e^{-2 pi b})
-        env = _exp_tail_bound(ctx, b, float(s), two_pi)
-        if env is not None:
-            tail = env / (1 - ctx.exp(-two_pi * b))
-            if tail < tol / 4:
-                err += tail
-                break
-        a, idx = b, idx + 1
-        if idx > 200:
-            raise IntegrationError(
-                "bose_moment tail did not engage", est_error=err, evaluations=bud.used
-            )
-    return IntegralResult(total, err, bud.used)
+    tail = _envelope_tail(ctx, float(s), two_pi)
+    if s == int(s):
+        panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1) / 2, tol)
+        return _march(ctx, integrand, panels, tail, tol, bud)
+    a = ctx.mpf(1) / 8
+    val, serr = _bose_corner_series(ctx, s, a, tol / 8)
+    panels = _doubling_panels(ctx, a, 2 * a, tol)
+    return _march(ctx, integrand, panels, tail, tol, bud, total=val, err=serr)
 
 
 def _bose_corner_series(ctx, s, w0, tol):
@@ -339,7 +344,10 @@ def cos_kernel_integral(
         sh = ctx.sin(w * v / 2)
         return ctx.power(w, p) * 2 * sh * sh / ctx.expm1(two_pi * w)
 
-    return _half_period_panels(ctx, integrand, v, p, two_pi, 2, tol, budget)
+    tol = ctx.mpf(tol)
+    panels = _half_period_panels(ctx, v, p, two_pi, tol)
+    tail = _envelope_tail(ctx, p, two_pi, amp=2)
+    return _march(ctx, integrand, panels, tail, tol, _Budget(budget), degree=4)
 
 
 def sin_kernel_integral(
@@ -361,36 +369,10 @@ def sin_kernel_integral(
     def integrand(u):
         return ctx.power(u, p) * ctx.sin(s * u) / ctx.expm1(u)
 
-    return _half_period_panels(ctx, integrand, s, p, 1, 1, tol, budget)
-
-
-def _half_period_panels(ctx, integrand, freq, p, rate, amp, tol, budget):
-    """int_0^inf of an integrand oscillating at angular frequency ``freq``
-    and bounded by amp u^p / (e^{rate u} - 1): panels one half-period wide
-    (capped at 1), until the exponential envelope of the rest drops below
-    tol/4."""
     tol = ctx.mpf(tol)
-    bud = _Budget(budget)
-    width = min(ctx.mpf(1), ctx.pi / freq)
-    n_est = _estimate_panels(float(tol), p, float(rate), float(width))
-    panel_tol = tol / (8 * n_est)
-
-    total = ctx.mpf(0)
-    err = ctx.mpf(0)
-    a = ctx.mpf(0)
-    while True:
-        b = a + width
-        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree=4)
-        total += val
-        err += perr
-        env = _exp_tail_bound(ctx, b, p, rate)
-        if env is not None:
-            tail = amp * env / (1 - ctx.exp(-rate * b))
-            if tail < tol / 4:
-                err += tail
-                break
-        a = b
-    return IntegralResult(total, err, bud.used)
+    panels = _half_period_panels(ctx, s, p, 1, tol)
+    tail = _envelope_tail(ctx, p, 1)
+    return _march(ctx, integrand, panels, tail, tol, _Budget(budget), degree=4)
 
 
 def _estimate_panels(tol, p, rate, width):

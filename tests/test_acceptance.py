@@ -12,7 +12,6 @@ from fractions import Fraction
 from cmlab import (
     DEFAULT_GRID,
     GridSpec,
-    KernelSpec,
     PrecisionContext,
     bernoulli,
     binet_check,
@@ -21,7 +20,6 @@ from cmlab import (
     builtin_families,
     cm_check,
     degree_estimate,
-    f_kernel,
     first_deriv_bound,
     psi_integral_check,
     ratio_bound,
@@ -32,6 +30,7 @@ from cmlab import (
     tail_limits,
     verify_degree_representation,
 )
+from cmlab import kernels
 
 
 def _report(name, ok, detail):
@@ -242,8 +241,8 @@ def test_criterion_10_identity_suites():
     v = ctx.mpf("0.4")
     cross = ctx.mpf(0)
     for n in range(0, 5):
-        s = f_kernel(ctx, KernelSpec(n, form="series"), v)
-        c = f_kernel(ctx, KernelSpec(n, form="closed"), v)
+        s = kernels._f_series(ctx, n, v, 0)
+        c = kernels._f_closed(ctx, n, v, 0)
         cross = max(cross, abs(s - c))
     cross_ok = cross < ctx.mpf(10) ** (-40)
 

@@ -201,6 +201,20 @@ def test_degree_unreachable_resolution_exit_code(capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "remark4", "--quick", "--format", "csv"],
+        ["degree", "--fn", "phi", "--format", "csv"],
+    ],
+    ids=["verify", "degree"],
+)
+def test_format_is_an_eval_option_only(capsys, argv):
+    # degree and verify always print JSON, so --format is a usage error there
+    assert main(argv) == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_verify_remark4_quick(capsys):
     code, out = run(capsys, ["verify", "--suite", "remark4", "--quick", "--digits", "30"])
     assert code == 0

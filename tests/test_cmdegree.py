@@ -216,6 +216,23 @@ def test_degree_estimate_rejects_unreachable_resolution():
     assert 1 in bracket
 
 
+def test_degree_estimate_rejects_unreachable_resolution_before_evaluating():
+    # given ends are checked before the cold scan of alpha_lo; with no
+    # alpha_hi the check against max(1, |alpha_lo|) still runs first
+    ctx = PrecisionContext(20)
+    calls = []
+
+    def eval_deriv(ctx, j, t):
+        calls.append((j, t))
+        return (-1) ** j * math.factorial(j) * ctx.mpf(t) ** (-j - 1)
+
+    fam = FunctionFamily("counted-inverse", eval_deriv)
+    for hi in (2, None):
+        with pytest.raises(DomainError, match="resolution"):
+            degree_estimate(ctx, fam, 0, hi, resolution="1e-30", order=2, grid=COARSE)
+    assert calls == []
+
+
 PROBE_SMALL = GridSpec(1e-8, 1e3, 120)
 
 

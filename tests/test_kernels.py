@@ -12,7 +12,6 @@ import pytest
 from cmlab import (
     DomainError,
     GridSpec,
-    KernelSpec,
     K_kernel,
     PrecisionContext,
     bernoulli,
@@ -21,6 +20,7 @@ from cmlab import (
     remark1_chain,
     sign_scan,
 )
+from cmlab import kernels
 
 # dyadic sample points: identical binary values in every context
 V_SAMPLES = ("0.3125", "1", "3")
@@ -66,8 +66,8 @@ def test_f0_matches_direct_formula(v):
 def test_series_closed_branches_agree(n, v):
     # straddle the automatic branch point from both sides with both forms
     ctx = PrecisionContext(50)
-    s = f_kernel(ctx, KernelSpec(n, form="series"), v)
-    c = f_kernel(ctx, KernelSpec(n, form="closed"), v)
+    s = kernels._f_series(ctx, n, ctx.mpf(v), 0)
+    c = kernels._f_closed(ctx, n, ctx.mpf(v), 0)
     assert abs(s - c) < ctx.mpf(10) ** (-40)
 
 
@@ -91,15 +91,14 @@ def test_f_kernel_domain():
         f_kernel(ctx, 0, 0)
     with pytest.raises(DomainError):
         f_kernel(ctx, 0, -1)
-    with pytest.raises(DomainError):
-        f_kernel(ctx, KernelSpec(0, form="series"), 7)  # beyond 2 pi
 
 
-def test_kernel_spec_validation():
+@pytest.mark.parametrize("n", [-1, 1.5, "1"])
+def test_f_kernel_rejects_non_integer_order(n):
+    # a fractional order is an error, not silently truncated to f_1
+    ctx = PrecisionContext(30)
     with pytest.raises(DomainError):
-        KernelSpec(-1)
-    with pytest.raises(DomainError):
-        KernelSpec(0, form="pade")
+        f_kernel(ctx, n, 1)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -78,6 +78,24 @@ def test_laplace_domain_and_budget():
         laplace(ctx, lambda v: ctx.mpf(1), 1, tol, budget=50, kernel_bound=1)
 
 
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda ctx, tol, budget: bose_moment(ctx, 3, tol, budget=budget),
+        lambda ctx, tol, budget: bose_moment(ctx, "2.5", tol, budget=budget),
+        lambda ctx, tol, budget: cos_kernel_integral(ctx, 2, 3, tol, budget=budget),
+        lambda ctx, tol, budget: sin_kernel_integral(ctx, 2, 3, tol, budget=budget),
+    ],
+    ids=["bose-integer", "bose-corner-series", "cos", "sin"],
+)
+def test_integrals_raise_on_exhausted_budget(integral):
+    # each shape stops with IntegrationError, not a silently short sum
+    ctx = PrecisionContext(40)
+    with pytest.raises(IntegrationError) as info:
+        integral(ctx, ctx.mpf(10) ** (-30), 50)
+    assert info.value.evaluations > 50
+
+
 # -- Bose moments -------------------------------------------------------
 
 
