@@ -47,6 +47,7 @@ from .remainders import (
     remainder_d1,
     remainder_d2,
     remainder_deriv,
+    remainder_jet,
     tail_limits,
 )
 from .verify import (
@@ -97,6 +98,7 @@ __all__ = [
     "remainder_d1",
     "remainder_d2",
     "remainder_deriv",
+    "remainder_jet",
     "ratio_bound",
     "TailLimitEntry",
     "TailLimits",

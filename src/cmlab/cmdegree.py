@@ -17,6 +17,15 @@ the grid reaches far into both tails by default.
 g^(j) is assembled by the Leibniz rule from exact derivatives of t^alpha
 and the family's own derivatives, so no numerical differentiation happens
 anywhere; families supply analytic derivatives to order ``max_order``.
+The derivative cache holds the scaled values H_l = t^l h^(l)(t) under the
+keys (l, grid index), so that
+
+    g^(j)(t) = t^(alpha-j) sum_i C(j,i) <alpha>_i H_(j-i)(t):
+
+the coefficients C(j,i) <alpha>_i are made once per alpha and t^(alpha-j)
+once per point and order, by one multiplication with 1/t.  A family with
+an ``eval_jet`` fills every order of a grid point from one call on its
+first miss there; any other family is asked for the missing order alone.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Callable, Optional
 from .errors import BracketError, DomainError
 from .gammakit import polygamma
 from .precision import GridSpec, PrecisionContext
-from .remainders import remainder_deriv
+from .remainders import remainder_jet
 
 __all__ = [
     "DEFAULT_GRID",
@@ -58,12 +67,15 @@ class FunctionFamily:
     """A function together with its analytic derivatives.
 
     ``eval_deriv(ctx, j, t)`` returns the j-th derivative at t (j = 0 is
-    the function itself); the function must tend to 0 at infinity.
+    the function itself); the function must tend to 0 at infinity.  The
+    optional ``eval_jet(ctx, j_lo, j_hi, t)`` returns the derivatives of
+    orders j_lo..j_hi at t as a list, from one evaluation.
     """
 
     name: str
     eval_deriv: Callable
     max_order: int = 12
+    eval_jet: Optional[Callable] = None
 
 
 @dataclass
@@ -101,11 +113,21 @@ class DegreeBracket:
         return self.passed_alpha <= x <= self.failed_alpha
 
 
-def _h_value(ctx, family, cache, order, idx, pts):
-    key = (order, idx)
+def _scaled_deriv(ctx, family, cache, l, idx, pts, top):
+    """H_l = t^l h^(l)(t) at grid point ``idx``, through the cache.  A miss
+    fills orders 0..``top`` there from one jet when the family has one."""
+    key = (l, idx)
     val = cache.get(key)
     if val is None:
-        val = cache[key] = ctx.mpf(family.eval_deriv(ctx, order, pts[idx]))
+        t = pts[idx]
+        if family.eval_jet is None:
+            val = cache[key] = ctx.mpf(family.eval_deriv(ctx, l, t)) * t**l
+        else:
+            tl = ctx.mpf(1)
+            for i, h in enumerate(family.eval_jet(ctx, 0, top, t)):
+                cache.setdefault((i, idx), ctx.mpf(h) * tl)
+                tl *= t
+            val = cache[key]
     return val
 
 
@@ -121,8 +143,8 @@ def cm_check(
     on the grid.
 
     ``_cache`` may be a dict shared between calls with the same context,
-    family and grid; it memoizes the family's derivative values, which
-    dominate the cost when scanning many alphas.
+    family and grid; it memoizes the family's scaled derivative values
+    t^l h^(l)(t), which dominate the cost when scanning many alphas.
     """
     if not isinstance(family, FunctionFamily):
         raise DomainError("cm_check needs a FunctionFamily, got %r" % (family,))
@@ -143,25 +165,24 @@ def cm_check(
     pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
 
-    # falling factorials of alpha: d^i/dt^i t^alpha = fall[i] t^(alpha-i)
+    # coef[j][i] = C(j,i) <alpha>_i, with d^i/dt^i t^alpha = <alpha>_i t^(alpha-i)
     fall = [ctx.mpf(1)]
     for i in range(1, order + 1):
         fall.append(fall[-1] * (alpha0 - (i - 1)))
-    tpow = [None] * len(pts)
+    coef = [[math.comb(j, i) * fall[i] for i in range(j + 1)] for j in range(order + 1)]
+    tpow = [ctx.power(t, alpha0) for t in pts]  # t^(alpha-j) at the current j
+    tinv = [1 / t for t in pts]
 
     for j in range(order + 1):
         negate = j % 2 == 1
+        cj = coef[j]
         for idx, t in enumerate(pts):
-            if tpow[idx] is None:
-                tpow[idx] = ctx.power(t, alpha0)
-            cur = tpow[idx]
-            acc = ctx.mpf(0)
-            for i in range(j + 1):
-                acc += math.comb(j, i) * fall[i] * cur * _h_value(
-                    ctx, family, cache, j - i, idx, pts
-                )
-                cur = cur / t
-            signed = -acc if negate else acc
+            if j:
+                tpow[idx] *= tinv[idx]
+            hs = [_scaled_deriv(ctx, family, cache, j - i, idx, pts, order) for i in range(j + 1)]
+            signed = ctx.dot(cj, hs) * tpow[idx]
+            if negate:
+                signed = -signed
             if not signed >= -tol:
                 return CMCheckResult(False, j, +t, signed)
     return CMCheckResult(True)
@@ -184,12 +205,11 @@ def first_deriv_bound(
     pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
     best = None
-    for idx, t in enumerate(pts):
-        h0 = _h_value(ctx, family, cache, 0, idx, pts)
+    for idx in range(len(pts)):
+        h0 = _scaled_deriv(ctx, family, cache, 0, idx, pts, 1)
         if not h0 > 0:
             continue
-        h1 = _h_value(ctx, family, cache, 1, idx, pts)
-        val = -t * h1 / h0
+        val = -_scaled_deriv(ctx, family, cache, 1, idx, pts, 1) / h0
         if best is None or val < best:
             best = val
     if best is None:
@@ -282,11 +302,15 @@ def _lnminuspsi_deriv(ctx, j, t):
 def _remainder_family(name, n, m, max_order=12):
     """The family (-1)^m R_n^(m), whose j-th derivative is (-1)^m R_n^(m+j)."""
 
-    def eval_deriv(ctx, j, t):
-        val = remainder_deriv(ctx, n, m + j, t)
-        return -val if m % 2 else val
+    sign = -1 if m % 2 else 1
 
-    return FunctionFamily(name, eval_deriv, max_order=max_order)
+    def eval_jet(ctx, j_lo, j_hi, t):
+        return [sign * v for v in remainder_jet(ctx, n, m + j_lo, m + j_hi, t)]
+
+    def eval_deriv(ctx, j, t):
+        return eval_jet(ctx, j, j, t)[0]
+
+    return FunctionFamily(name, eval_deriv, max_order=max_order, eval_jet=eval_jet)
 
 
 def builtin_families() -> dict:

@@ -1,23 +1,50 @@
 """Log-gamma and polygamma evaluators with certified accuracy.
 
 Everything here is computed from scratch with the shift-plus-asymptotic-
-series method: the argument is raised by an integer shift until it clears
-a precision-dependent threshold, the enveloping asymptotic series is
-summed to below working epsilon (its truncation error is bounded by the
-first omitted term, which alternates in sign), and the shift is undone
-through exact recurrences.  No gamma-family routine of the underlying
-arbitrary-precision library is called, so these values can serve as one
-side of an honest cross-check against quadrature.
+series method: the argument is raised by an integer shift N until it
+clears a precision-dependent threshold, the enveloping asymptotic series
+is summed there (its truncation error is bounded by the first omitted
+term, which alternates in sign), and the shift is undone through exact
+recurrences.  No gamma-family routine of the underlying arbitrary-
+precision library is called, so these values can serve as one side of an
+honest cross-check against quadrature.
 
 One routine, ``_expansion``, builds the Stirling expansion of ln Gamma
-(order -1) and psi^(m) (order m): its leading terms plus the Bernoulli
-terms, summed to convergence at the shifted argument for ``ln_gamma`` and
-``polygamma``, or cut after n terms for the head the remainders subtract.
+(order -1) and psi^(m) (order m) for a whole range of orders at once: the
+leading terms plus the Bernoulli terms, summed to convergence at the
+shifted argument for ``ln_gamma``, ``polygamma`` and the remainder jets,
+or cut after n terms for the head the remainders subtract.  ``_jet`` adds
+the shift; ``ln_gamma`` and ``polygamma`` are its one-order cases.
 
-Series coefficients are cached exactly (as ``Fraction``) per derivative
-order, and again as floats per working precision, since the polygamma
-path is hot inside the complete-monotonicity grid scans.  The caches only
-grow, under a lock, and are read without one.
+The two inner loops run on Python integers in fixed point, with every
+number a multiple of 2^-F:
+
+* the shift sums sum_{0<k<N} (t+k)^-(m+1), for every order m of the
+  range, take one integer division per k for 1/(t+k) and one multiply
+  and shift per order.  Each term is at most 1 and at least z^-(m+1)
+  (z = t + N), and each floor loses under one unit of 2^-F, so
+  F = prec + guard + (m_hi+2) log2 z keeps the relative error of every
+  sum below 2^-(prec+guard).  The k = 0 term stays in mpf, since t may
+  be 1e-300; the shift of ln Gamma is one ln of the product of the t+k;
+* the convergent series is a Horner sum in w = z^-2 < 1 of the
+  fixed-point coefficients floor(c_k 2^F) at F = prec + guard.  Each
+  step's floor and each coefficient's lose under one unit of 2^-F, and
+  w < 1 only shrinks what earlier steps lost, so the sum is off by under
+  2K units, against a sum within a few percent of c_1 (|c_1| >= 1/12).
+
+The term count K comes from float logarithms of the exact coefficients:
+the sum stops at the first term with |c_K/c_1| w^(K-1) <= 2^-(prec+guard),
+a stop relative to the first Bernoulli term and so to the value, and the
+truncation bound is that first omitted term, computed in mpf.  The head
+(n <= 30 terms at the unshifted t, where w may exceed 1) stays in mpf.
+
+Each order has one coefficient table: the exact coefficients (as
+``Fraction``), their float log2 magnitudes and one list of fixed-point
+integers, rebuilt at more bits when a call needs them.  A call at F bits
+shifts the table's floor(c_k 2^B) right by B - F bits, which is exactly
+floor(c_k 2^F) whatever B is, so values do not depend on which
+precisions ran before.  The tables only grow, under a lock, and are read
+without one.
 """
 
 from __future__ import annotations
@@ -32,6 +59,9 @@ from .errors import DomainError
 from .precision import PrecisionContext
 
 __all__ = ["GammaEval", "ln_gamma", "polygamma"]
+
+#: guard bits of the fixed-point kernels and of the relative series stop
+_GUARD = 20
 
 
 @dataclass
@@ -49,18 +79,35 @@ class GammaEval:
     est_error: object
 
 
-# exact series coefficients per order: key -1 is ln-gamma, 0 is psi,
-# m >= 1 is psi^(m).  Entry k-1 multiplies the k-th reciprocal power.
-_FRAC_COEFF: dict = {}
-# (working digits, order) -> same coefficients as floats
-_MPF_COEFF: dict = {}
-# serialises the filling of both tables; a list only grows, so a reader
-# that finds entry k there needs no lock
+class _Coeffs:
+    """The series coefficients of one order, entry k-1 for the k-th term:
+    exact, as float log2 of their magnitude, and as ``fixed`` = (B, list
+    of floor(c_k 2^B))."""
+
+    def __init__(self):
+        self.exact = []
+        self.log2 = []
+        self.fixed = (0, [])
+
+
+# key -1 is ln-gamma, 0 is psi, m >= 1 is psi^(m)
+_COEFF: dict = {}
+# serialises the filling of the tables; a list only grows and a table's
+# ``fixed`` pair is replaced whole, so a reader needs no lock
 _FILL = threading.Lock()
 
 
+def _table(order: int) -> _Coeffs:
+    tab = _COEFF.get(order)
+    if tab is None:
+        with _FILL:
+            tab = _COEFF.setdefault(order, _Coeffs())
+    return tab
+
+
 def _frac_coeffs(order: int, upto: int):
-    lst = _FRAC_COEFF.setdefault(order, [])
+    tab = _table(order)
+    lst = tab.exact
     if len(lst) < upto:
         with _FILL:
             while len(lst) < upto:
@@ -68,73 +115,118 @@ def _frac_coeffs(order: int, upto: int):
                 # B_2k/(2k) for psi, B_2k (2k+1)...(2k+order-1) above
                 k = len(lst) + 1
                 ratio = Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
-                lst.append(bernoulli(2 * k) * ratio)
+                c = bernoulli(2 * k) * ratio
+                # the log goes in first: a reader that finds entry k in
+                # ``exact`` finds it in ``log2`` too
+                tab.log2.append(math.log2(abs(c.numerator)) - math.log2(c.denominator))
+                lst.append(c)
     return lst
 
 
-def _coeff_mpf(wctx: PrecisionContext, order: int, k: int):
-    lst = _MPF_COEFF.setdefault((wctx.digits, order), [])
-    if len(lst) < k:
-        fracs = _frac_coeffs(order, k)
+def _fixed_coeffs(order: int, upto: int, bits: int):
+    """floor(c_k 2^bits) for k <= upto."""
+    tab = _table(order)
+    have, lst = tab.fixed
+    if have < bits or len(lst) < upto:
+        exact = _frac_coeffs(order, upto)
         with _FILL:
-            for j in range(len(lst), k):
-                lst.append(wctx.mpf(fracs[j]))
-    return lst[k - 1]
+            have, lst = tab.fixed
+            if have < bits:
+                have = max(bits, 2 * have)
+                lst = [(c.numerator << have) // c.denominator for c in exact[: len(lst)]]
+            for c in exact[len(lst) : upto]:
+                lst.append((c.numerator << have) // c.denominator)
+            tab.fixed = (have, lst)
+    drop = have - bits
+    return [c >> drop for c in lst[:upto]]
 
 
-def _asym_sum(wctx: PrecisionContext, order: int, z, p0, n=None):
-    """Sum coeff_k * z^(-2(k-1)) * p0 over k <= n, or until below eps/100
-    when n is None.
+def _log2(x) -> float:
+    """log2 of a positive mpf, without overflow."""
+    man, exp = x.man_exp
+    return math.log2(man) + exp
 
-    Returns (partial sum, first omitted term's magnitude).  The terms
-    alternate and envelope the limit, so the first omitted term bounds the
-    error; when summing to convergence they must still be shrinking when
-    the stop fires, which the shift threshold guarantees.
+
+def _term_count(order: int, log2_w: float, rel_bits: int) -> int:
+    """The index K of the first Bernoulli term with |c_K/c_1| w^(K-1) <=
+    2^-rel_bits; the terms before it are summed and it bounds the rest.
+
+    The terms must still be shrinking there, which the shift threshold
+    guarantees.
     """
-    zinv2 = 1 / (z * z)
-    zpow = p0
-    stop = wctx.eps / 100
-    total = wctx.mpf(0)
-    prev = None
+    logs = _table(order).log2
+    _frac_coeffs(order, 1)
+    prev = 0.0  # the first term over itself
     k = 1
     while True:
-        # zpow on the left: mpf arithmetic rounds to the left operand's
-        # context, and the cached coefficients belong to whichever context
-        # first filled the list
-        term = zpow * _coeff_mpf(wctx, order, k)
-        at = abs(term)
-        if (k > n) if n is not None else (at <= stop):
-            return total, at
-        if n is None and prev is not None and at >= prev:
+        if len(logs) <= k:
+            _frac_coeffs(order, 2 * k)
+        rel = logs[k] - logs[0] + k * log2_w  # the (k+1)-th term over the first
+        if rel <= -rel_bits:
+            return k + 1
+        if rel >= prev:
             raise AssertionError(
-                "asymptotic series stalled at k=%d; shift threshold too low" % k
+                "asymptotic series stalled at k=%d; shift threshold too low" % (k + 1)
             )
-        total += term
-        prev = at
-        zpow *= zinv2
+        prev = rel
         k += 1
-        if k > 4000:
-            raise AssertionError("asymptotic series failed to terminate")
 
 
-def _expansion(wctx: PrecisionContext, order: int, z, n=None):
-    """The Stirling expansion of ln Gamma (order -1) or psi^(order) at z:
-    its leading terms plus the first n Bernoulli terms, or all of them up
-    to convergence when n is None.
+def _series(wctx: PrecisionContext, order: int, w_fixed: int, bits: int, log2_w: float):
+    """sum_{k<K} c_k w^(k-1) in fixed point at ``bits``, with K from
+    :func:`_term_count`.  Returns (the sum, c_K, K), both numbers as
+    fixed-point integers."""
+    count = _term_count(order, log2_w, wctx.prec + _GUARD)
+    coeffs = _fixed_coeffs(order, count, bits)
+    acc = 0
+    for c in reversed(coeffs[:-1]):
+        acc = ((acc * w_fixed) >> bits) + c
+    return acc, coeffs[-1], count
 
-    Returns (value, bound on the omitted tail): the tail is the first
-    omitted term in magnitude, whichever sign the function's series puts
-    on it.
+
+def _expansion(wctx: PrecisionContext, lo: int, hi: int, z, n=None):
+    """The Stirling expansions of ln Gamma (order -1) and psi^(order) at z
+    for every order lo..hi: their leading terms plus the first n Bernoulli
+    terms (in mpf), or all of them up to convergence (in fixed point) when
+    n is None.
+
+    Returns (values, truncation bounds), one entry per order.  A bound is
+    the first omitted term in magnitude, whichever sign the function's
+    series puts on it; with n given the bounds are None.
     """
-    tail, trunc = _asym_sum(wctx, order, z, z ** (-(order + 2)), n)
-    if order == -1:
-        half = wctx.mpf(1) / 2
-        return (z - half) * wctx.ln(z) - z + wctx.ln(2 * wctx.pi) / 2 + tail, trunc
-    if order == 0:
-        return wctx.ln(z) - 1 / (2 * z) - tail, trunc
-    fm1 = math.factorial(order - 1)
-    val = fm1 * z ** (-order) + fm1 * order / (2 * z ** (order + 1)) + tail
-    return (val if order % 2 else -val), trunc
+    # zp[p] = z^-p, for the leading terms and the Bernoulli terms
+    top = max(hi + 2, 2 if n is None else 2 * n + hi)
+    zinv = 1 / z
+    zp = [wctx.mpf(1), zinv]
+    for _ in range(top - 1):
+        zp.append(zp[-1] * zinv)
+    lnz = wctx.ln(z) if lo <= 0 else None
+    ln_sqrt_2pi = wctx.ln(2 * wctx.pi) / 2 if lo == -1 else None
+    bits = wctx.prec + _GUARD
+    if n is None:
+        w_fixed = wctx.to_fixed(zp[2], bits)
+        log2_w = -2 * _log2(z)
+    values, truncs = [], []
+    for order in range(lo, hi + 1):
+        if n is None:
+            acc, first_out, count = _series(wctx, order, w_fixed, bits, log2_w)
+            tail = wctx.from_fixed(acc, bits) * zp[order + 2]
+            truncs.append(abs(wctx.from_fixed(first_out, bits)) * zinv ** (2 * count + order))
+        else:
+            tail = wctx.mpf(0)
+            for k, c in enumerate(_fixed_coeffs(order, n, bits), 1):
+                tail += wctx.from_fixed(c, bits) * zp[2 * k + order]
+            truncs.append(None)
+        if order == -1:
+            half = wctx.mpf(1) / 2
+            values.append((z - half) * lnz - z + ln_sqrt_2pi + tail)
+        elif order == 0:
+            values.append(lnz - zp[1] / 2 - tail)
+        else:
+            fm1 = math.factorial(order - 1)
+            val = fm1 * zp[order] + fm1 * order * zp[order + 1] / 2 + tail
+            values.append(val if order % 2 else -val)
+    return values, truncs
 
 
 def _threshold(wp: int, order: int) -> int:
@@ -144,10 +236,51 @@ def _threshold(wp: int, order: int) -> int:
     return int(0.45 * wp) + 9 + max(order, 0)
 
 
-def _shifted_arg(wctx, t, order: int):
+def _shift_sums(wctx: PrecisionContext, t, count: int, lo: int, hi: int):
+    """sum_{k<count} (t+k)^-(m+1) for m = lo..hi (lo >= 0, count >= 1):
+    the k = 0 term in mpf, the others in fixed point."""
+    inv = 1 / t
+    p = inv ** (lo + 1)
+    sums = []
+    for _ in range(lo, hi + 1):
+        sums.append(p)
+        p *= inv
+    if count == 1:
+        return sums
+    bits = wctx.prec + _GUARD + int((hi + 2) * math.log2(float(t) + count)) + 1
+    one = 1 << bits
+    t_fixed = wctx.to_fixed(t, bits)
+    acc = [0] * len(sums)
+    for k in range(1, count):
+        x = (one << bits) // (t_fixed + k * one)  # floor(2^bits / (t+k))
+        p = x ** (lo + 1) >> (lo * bits)
+        acc[0] += p
+        for i in range(1, len(acc)):
+            p = (p * x) >> bits
+            acc[i] += p
+    return [s + wctx.from_fixed(a, bits) for s, a in zip(sums, acc)]
+
+
+def _jet(wctx: PrecisionContext, lo: int, hi: int, t):
+    """ln Gamma (order -1) and psi^(order) at t for every order lo..hi,
+    each summed to convergence.  Returns (values, truncation bounds)."""
     tw = wctx.mpf(t)
-    shift = max(0, int(math.ceil(_threshold(wctx.digits, order) - float(tw))))
-    return tw, tw + shift, shift
+    thr = _threshold(wctx.digits, hi)
+    shift = 0 if tw >= thr else int(math.ceil(thr - float(tw)))
+    values, truncs = _expansion(wctx, lo, hi, tw + shift)
+    if shift and hi >= 0:
+        # psi^(m)(t) = psi^(m)(t+N) - (-1)^m m! sum_{k<N} (t+k)^(-m-1)
+        first = max(lo, 0)
+        for m, s in zip(range(first, hi + 1), _shift_sums(wctx, tw, shift, first, hi)):
+            term = math.factorial(m) * s
+            values[m - lo] -= term if m % 2 == 0 else -term
+    if shift and lo == -1:
+        # ln Gamma(t) = ln Gamma(t+N) - ln(t (t+1) ... (t+N-1))
+        prod = tw
+        for k in range(1, shift):
+            prod *= tw + k
+        values[0] -= wctx.ln(prod)
+    return values, truncs
 
 
 def _wrap(ctx: PrecisionContext, t, order: int, value_w, trunc) -> GammaEval:
@@ -165,11 +298,7 @@ def ln_gamma(ctx: PrecisionContext, t) -> GammaEval:
     t0 = ctx.mpf(t)
     if not (ctx.isfinite(t0) and t0 > 0):
         raise DomainError("ln_gamma requires finite t > 0, got %s" % t0)
-    wctx = ctx.boosted(10)
-    tw, z, shift = _shifted_arg(wctx, t, -1)
-    val, trunc = _expansion(wctx, -1, z)
-    for j in range(shift):
-        val -= wctx.ln(tw + j)
+    (val,), (trunc,) = _jet(ctx.boosted(10), -1, -1, t)
     return _wrap(ctx, t, -1, val, trunc)
 
 
@@ -181,12 +310,5 @@ def polygamma(ctx: PrecisionContext, m: int, t) -> GammaEval:
     t0 = ctx.mpf(t)
     if not (ctx.isfinite(t0) and t0 > 0):
         raise DomainError("polygamma requires finite t > 0, got %s" % t0)
-    wctx = ctx.boosted(10 + m)
-    tw, z, shift = _shifted_arg(wctx, t, m)
-    val, trunc = _expansion(wctx, m, z)
-    # psi^(m)(t) = psi^(m)(t+N) - (-1)^m m! sum_j (t+j)^(-m-1)
-    ssum = wctx.mpf(0)
-    for j in range(shift):
-        ssum += (tw + j) ** (-(m + 1))
-    val -= (-1) ** m * math.factorial(m) * ssum
+    (val,), (trunc,) = _jet(ctx.boosted(10 + m), m, m, t)
     return _wrap(ctx, t, m, val, trunc)

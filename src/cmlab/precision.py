@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import DomainError
 
@@ -71,6 +72,21 @@ class PrecisionContext:
             return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
         return self._mp.mpf(x)
 
+    @property
+    def prec(self) -> int:
+        """The working precision in bits."""
+        return self._mp.prec
+
+    def to_fixed(self, x, bits: int) -> int:
+        """floor(x * 2^bits) as an integer, exact for ``x`` as stored in
+        this context."""
+        return to_fixed(self.mpf(x)._mpf_, bits)
+
+    def from_fixed(self, v: int, bits: int):
+        """The fixed-point integer ``v`` read as v * 2^-bits, correctly
+        rounded to this context."""
+        return self._mp.make_mpf(from_man_exp(v, -bits, *self._mp._prec_rounding))
+
     def boosted(self, extra_digits: int) -> "PrecisionContext":
         """The shared context with ``extra_digits`` more working digits.
 
@@ -85,6 +101,10 @@ class PrecisionContext:
         if ctx is None:
             ctx = shared[digits] = PrecisionContext(digits)
         return ctx
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] ys[i] with exact products and one final rounding."""
+        return self._mp.fdot(xs, ys)
 
     # -- constants ---------------------------------------------------
 

@@ -173,20 +173,33 @@ def _half_period_panels(ctx, freq, p, rate, tol):
 def _march(ctx, integrand, panels, tail, tol, bud, degree=5, total=0, err=0):
     """The one panel loop: add each panel's integral and error to ``total``
     and ``err`` until tail(b) (None while no bound holds) drops below
-    tol/4, then add the tail to the error.  Raises IntegrationError when
-    the panels run out first."""
+    tol/4, then add the tail to the error.
+
+    Raises IntegrationError when the panels or the evaluation budget run
+    out first.  Its ``est_error`` is the error of the finished panels plus
+    the tail bound at the last one's end, or infinite while no tail bound
+    has held.
+    """
     total = ctx.mpf(total)
     err = ctx.mpf(err)
-    for a, b, panel_tol in panels:
-        val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree)
-        total += val
-        err += perr
-        rest = tail(b)
-        if rest is not None and rest < tol / 4:
-            return IntegralResult(total, err + rest, bud.used)
-    raise IntegrationError(
-        "tail bound did not engage before the panels ran out", est_error=err, evaluations=bud.used
-    )
+    rest = None
+    try:
+        for a, b, panel_tol in panels:
+            val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree)
+            # a panel is finished once its tail bound is known too: the
+            # sampled Laplace tail spends budget and may raise
+            rest_b = tail(b)
+            total += val
+            err += perr
+            rest = rest_b
+            if rest is not None and rest < tol / 4:
+                return IntegralResult(total, err + rest, bud.used)
+        raise IntegrationError(
+            "tail bound did not engage before the panels ran out", evaluations=bud.used
+        )
+    except IntegrationError as exc:
+        exc.est_error = err + (ctx.mpf("inf") if rest is None else rest)
+        raise
 
 
 # -- Laplace transforms ------------------------------------------------

@@ -17,9 +17,13 @@ G is ln Gamma (j = 0) or psi^(j-1), and head is the leading terms plus the
 first n Bernoulli terms of G's own Stirling expansion, from the gammakit
 routine that also sums that expansion for G.
 
-Large-t evaluation cancels catastrophically (the result is of size
-t^{-(2n+j+1)} while the ingredients are of size ln t or larger), so every
-evaluation runs under a precision boost proportional to (2n+j+2) log10 t.
+``remainder_jet`` returns R_n^(j) for a whole range of orders j from one
+working context, one shift and one set of Stirling sums; every other
+evaluator here is one of its cases.  Large-t evaluation cancels
+catastrophically (the result is of size t^{-(2n+j+1)} while the
+ingredients are of size ln t or larger), so a jet runs under a precision
+boost proportional to (2n+j+2) log10 t for its highest order j, plus the
+10 + (j-1) digits a lone psi^(j-1) would get.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .gammakit import _expansion, _frac_coeffs, ln_gamma, polygamma
+from .gammakit import _expansion, _frac_coeffs, _jet
 from .precision import PrecisionContext
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "remainder_d1",
     "remainder_d2",
     "remainder_deriv",
+    "remainder_jet",
     "ratio_bound",
     "TailLimitEntry",
     "TailLimits",
@@ -72,19 +77,35 @@ def remainder(ctx: PrecisionContext, n, t):
     return remainder_deriv(ctx, n, 0, t)
 
 
-def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
-    """R_n^(j)(t) for 0 <= j <= 16; the degree machinery's raw material."""
-    n = _check_n(n)
+def _check_j(j) -> int:
     if int(j) != j or j < 0 or j > _MAX_DERIV:
         raise DomainError("derivative order j must be an integer in [0, %d], got %r" % (_MAX_DERIV, j))
-    j = int(j)
+    return int(j)
+
+
+def remainder_jet(ctx: PrecisionContext, n, j_lo: int, j_hi: int, t):
+    """[R_n^(j_lo)(t), ..., R_n^(j_hi)(t)] for 0 <= j_lo <= j_hi <= 16.
+
+    One working context, at the digits the hardest member j_hi needs, one
+    shift and one set of Stirling sums serve every order.
+    """
+    n = _check_n(n)
+    j_lo, j_hi = _check_j(j_lo), _check_j(j_hi)
+    if j_lo > j_hi:
+        raise DomainError("need j_lo <= j_hi, got %d > %d" % (j_lo, j_hi))
     t0 = _check_t(ctx, t)
-    wctx = ctx.boosted(_boost(n, j, t0))
+    wctx = ctx.boosted(_boost(n, j_hi, t0) + 10 + max(j_hi - 1, 0))
     tw = wctx.mpf(t0)
-    g = ln_gamma(wctx, tw) if j == 0 else polygamma(wctx, j - 1, tw)
-    head, _ = _expansion(wctx, j - 1, tw, n)
-    a = ctx.mpf(g.value - head)
-    return a if n % 2 == 0 else -a
+    gs, _ = _jet(wctx, j_lo - 1, j_hi - 1, tw)
+    heads, _ = _expansion(wctx, j_lo - 1, j_hi - 1, tw, n)
+    if n % 2:
+        return [ctx.mpf(h - g) for g, h in zip(gs, heads)]
+    return [ctx.mpf(g - h) for g, h in zip(gs, heads)]
+
+
+def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
+    """R_n^(j)(t) for 0 <= j <= 16; the degree machinery's raw material."""
+    return remainder_jet(ctx, n, j, j, t)[0]
 
 
 def remainder_d1(ctx: PrecisionContext, n, t):
@@ -102,11 +123,10 @@ def ratio_bound(ctx: PrecisionContext, n, t):
     degree of -R_n'; tends to 2n as t -> 0+ for n >= 1."""
     n = _check_n(n)
     t0 = _check_t(ctx, t)
-    d1 = remainder_d1(ctx, n, t0)
+    d1, d2 = remainder_jet(ctx, n, 1, 2, t0)
     if not ctx.isfinite(d1) or d1 == 0:
         raise DomainError("ratio_bound: -R_%d'(%s) vanished or overflowed" % (n, t0))
-    d2 = remainder_d2(ctx, n, t0)
-    return t0 * d2 / d1
+    return -t0 * d2 / d1
 
 
 @dataclass

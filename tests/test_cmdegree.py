@@ -233,6 +233,50 @@ def test_degree_estimate_rejects_unreachable_resolution_before_evaluating():
     assert calls == []
 
 
+def counted(family, jets, derivs):
+    """``family`` with every jet and single-order call recorded."""
+
+    def eval_deriv(ctx, j, t):
+        derivs.append((j, t))
+        return family.eval_deriv(ctx, j, t)
+
+    def eval_jet(ctx, j_lo, j_hi, t):
+        jets.append((j_lo, j_hi, t))
+        return family.eval_jet(ctx, j_lo, j_hi, t)
+
+    return FunctionFamily(family.name, eval_deriv, family.max_order, eval_jet=eval_jet)
+
+
+def test_degree_estimate_fills_cache_with_one_jet_per_point():
+    ctx = PrecisionContext(30)
+    fam = builtin_families()["negRprime:2"]
+    jets, derivs = [], []
+    bracket = degree_estimate(
+        ctx, counted(fam, jets, derivs), resolution=0.1, order=6, grid=COARSE
+    )
+    assert derivs == []
+    assert [(lo, hi) for lo, hi, _ in jets] == [(0, 6)] * COARSE.count
+    assert [t for _, _, t in jets] == COARSE.points(ctx)
+    # the same bracket as the family's own derivatives give one at a time
+    single = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
+    other = degree_estimate(ctx, single, resolution=0.1, order=6, grid=COARSE)
+    assert (bracket.passed_alpha, bracket.failed_alpha) == (other.passed_alpha, other.failed_alpha)
+    assert abs(bracket.first_deriv_bound - other.first_deriv_bound) < ctx.mpf(10) ** (-25)
+
+
+def test_cm_check_jet_and_single_orders_agree():
+    # the jet path and the one-order path fill the same scaled cache
+    ctx = PrecisionContext(30)
+    fam = builtin_families()["negRprime:3"]
+    single = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
+    for alpha in ("5", "5.9", "6.5"):
+        a = cm_check(ctx, fam, alpha, order=6, grid=COARSE)
+        b = cm_check(ctx, single, alpha, order=6, grid=COARSE)
+        assert (a.passed, a.order, a.t) == (b.passed, b.order, b.t)
+        if not a.passed:
+            assert abs(a.value - b.value) <= ctx.mpf(10) ** (-25) * abs(b.value)
+
+
 PROBE_SMALL = GridSpec(1e-8, 1e3, 120)
 
 

@@ -1,4 +1,4 @@
-"""The exact and per-precision coefficient caches under concurrent first use.
+"""The exact and fixed-point coefficient caches under concurrent first use.
 
 Each case runs in a fresh interpreter, so the caches start empty, with four
 threads released together and a tiny thread switch interval, so that the
@@ -12,20 +12,23 @@ import sys
 from fractions import Fraction
 
 import cmlab
-from cmlab import PrecisionContext, polygamma
+from cmlab import PrecisionContext, polygamma, remainder_jet
 
 from test_combinatorics import akiyama_tanigawa
 
 THREADS = 4
 MAX_BERNOULLI = 120
 POLYGAMMA_DIGITS = range(40, 70)
+# the jump past twice the bits of the first entry makes the fixed-point
+# coefficient tables rebuild at more bits while other threads read them
+JET_DIGITS = (40, 130, 50, 45)
 
 _SCRIPT = """
 import json, sys, threading
 sys.setswitchinterval(1e-6)
-from cmlab import PrecisionContext, bernoulli, polygamma
+from cmlab import PrecisionContext, bernoulli, polygamma, remainder_jet
 
-THREADS, MAX_BERNOULLI, DIGITS = %d, %d, range(%d, %d)
+THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS = %d, %d, range(%d, %d), %r
 
 
 def bernoulli_fill():
@@ -37,7 +40,12 @@ def polygamma_sweep():
         polygamma(PrecisionContext(d), 3, "30")
 
 
-work = {"bernoulli": bernoulli_fill, "polygamma": polygamma_sweep}[sys.argv[1]]
+def jet_sweep():
+    for d in JET_DIGITS:
+        remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")
+
+
+work = {"bernoulli": bernoulli_fill, "polygamma": polygamma_sweep, "jet": jet_sweep}[sys.argv[1]]
 barrier = threading.Barrier(THREADS)
 errors = []
 
@@ -59,12 +67,14 @@ print(json.dumps({
     "errors": errors,
     "bernoulli": [str(bernoulli(k)) for k in range(MAX_BERNOULLI + 1)],
     "polygamma": [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS],
+    "jet": [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS],
 }))
 """ % (
     THREADS,
     MAX_BERNOULLI,
     POLYGAMMA_DIGITS.start,
     POLYGAMMA_DIGITS.stop,
+    JET_DIGITS,
 )
 
 
@@ -93,9 +103,16 @@ def test_bernoulli_filled_concurrently_is_exact():
 
 
 def test_polygamma_filled_concurrently_matches_single_thread():
-    # the threads fill the Bernoulli, exact and per-precision coefficient
+    # the threads fill the Bernoulli, exact and fixed-point coefficient
     # caches together; a duplicated entry shifts every later coefficient
     result = _race_in_fresh_interpreter("polygamma")
     assert result["errors"] == []
     single = [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in POLYGAMMA_DIGITS]
     assert result["polygamma"] == single
+
+
+def test_remainder_jet_filled_concurrently_matches_single_thread():
+    result = _race_in_fresh_interpreter("jet")
+    assert result["errors"] == []
+    single = [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS]
+    assert result["jet"] == single

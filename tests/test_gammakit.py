@@ -13,6 +13,7 @@ import pytest
 from cmlab import (
     DomainError,
     PrecisionContext,
+    gammakit,
     ln_gamma,
     polygamma,
 )
@@ -108,3 +109,48 @@ def test_polygamma_domain():
         polygamma(ctx, 0.5, 1)
     with pytest.raises(DomainError):
         polygamma(ctx, 2, 0)
+
+
+def test_polygamma_relative_accuracy_at_large_t():
+    # the series stop is relative to its first term: an absolute stop at
+    # eps/100 of the working precision left psi^(12)(1e5) ~ -4e-53 with a
+    # relative error near 1e-10
+    ctx = PrecisionContext(20)
+    got = polygamma(ctx, 12, 1e5).value
+    with mpmath.workdps(60):
+        want = mpmath.polygamma(12, mpmath.mpf(1e5))
+        assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(10) ** (-17) * abs(want)
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("where", ["tiny", "below-threshold", "two-below-threshold"])
+def test_shift_sums_match_plain_mpf_sum(digits, where):
+    # sum_{k<N} (t+k)^-(m+1) for m = 0..16 from one fixed-point pass,
+    # against the same sum in mpf at 20 more digits
+    wctx = PrecisionContext(digits)
+    thr = gammakit._threshold(wctx.digits, 16)
+    t, count = {
+        "tiny": (wctx.mpf("1e-300"), thr),
+        "below-threshold": (thr - wctx.mpf("0.25"), 1),
+        "two-below-threshold": (thr - wctx.mpf("1.75"), 2),
+    }[where]
+    got = gammakit._shift_sums(wctx, t, count, 0, 16)
+    with mpmath.workdps(digits + 20):
+        for m, value in enumerate(got):
+            want = mpmath.fsum(
+                (mpmath.mpf(t) + k) ** (-(m + 1)) for k in range(count)
+            )
+            assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (1 - digits) * want, m
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+def test_jet_without_shift_matches_oracle(digits):
+    # at the threshold no shift is taken: the series alone gives every order
+    wctx = PrecisionContext(digits)
+    t = gammakit._threshold(wctx.digits, 16)
+    values, truncs = gammakit._jet(wctx, -1, 16, t)
+    for order, (value, trunc) in enumerate(zip(values, truncs), -1):
+        want = oracle_lngamma(digits, t) if order == -1 else oracle_psi(digits, order, t)
+        with mpmath.workdps(digits + 15):
+            assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (2 - digits) * abs(want)
+            assert 0 < trunc <= mpmath.mpf(10) ** (-digits) * abs(want)

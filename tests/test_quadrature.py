@@ -96,6 +96,28 @@ def test_integrals_raise_on_exhausted_budget(integral):
     assert info.value.evaluations > 50
 
 
+@pytest.mark.parametrize(
+    "integral,finite",
+    [
+        (lambda ctx, tol, budget: bose_moment(ctx, 3, tol, budget=budget), True),
+        (lambda ctx, tol, budget: bose_moment(ctx, "2.5", tol, budget=budget), False),
+        (lambda ctx, tol, budget: cos_kernel_integral(ctx, 2, 3, tol, budget=budget), True),
+        (lambda ctx, tol, budget: sin_kernel_integral(ctx, 2, 3, tol, budget=budget), False),
+    ],
+    ids=["bose-integer", "bose-corner-series", "cos", "sin"],
+)
+def test_exhausted_budget_error_carries_bound(integral, finite):
+    # the error of the finished panels plus the tail bound at the last
+    # one's end; infinite while no tail bound has held
+    ctx = PrecisionContext(20)
+    with pytest.raises(IntegrationError) as info:
+        integral(ctx, ctx.mpf("1e-12"), 50)
+    est = info.value.est_error
+    assert est is not None
+    assert est > 0
+    assert ctx.isfinite(est) == finite
+
+
 # -- Bose moments -------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from cmlab import (
     remainder_d1,
     remainder_d2,
     remainder_deriv,
+    remainder_jet,
     tail_limits,
 )
 
@@ -232,3 +233,46 @@ def test_remainder_deriv_matches_mpmath_oracle(digits, n):
                 if rel > mpmath.mpf(10) ** (3 - digits):
                     failures.append((j, t, float(rel)))
     assert not failures, failures
+
+
+JET_RANGES = ((0, 16), (1, 9), (4, 6), (12, 12))
+JET_POINTS = (1e-10, 1e-3, 0.7, 7.5, 33.0, 1e3, 1e6, 1e12)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+@pytest.mark.parametrize("n", [0, 1, 2, 6])
+def test_remainder_jet_matches_single_orders_and_oracle(digits, n):
+    # every member of a jet against the one-order evaluator (which works at
+    # fewer digits when it is not the jet's top order) and against the
+    # mpmath oracle, within 10^-(digits-3) relative
+    ctx = PrecisionContext(digits)
+    oracle = {}
+    failures = []
+    for j_lo, j_hi in JET_RANGES:
+        for t in JET_POINTS:
+            jet = remainder_jet(ctx, n, j_lo, j_hi, t)
+            assert len(jet) == j_hi - j_lo + 1
+            for j, got in enumerate(jet, j_lo):
+                if (j, t) not in oracle:
+                    oracle[j, t] = _remainder_deriv_oracle(n, j, t, digits)
+                single = remainder_deriv(ctx, n, j, t)
+                with mpmath.workdps(digits + 10):
+                    want = oracle[j, t]
+                    tol = mpmath.mpf(10) ** (3 - digits) * abs(want)
+                    if abs(mpmath.mpf(got) - want) > tol:
+                        failures.append(("oracle", j_lo, j_hi, j, t))
+                    if abs(mpmath.mpf(got) - mpmath.mpf(single)) > tol:
+                        failures.append(("single", j_lo, j_hi, j, t))
+    assert not failures, failures
+
+
+def test_remainder_jet_domain():
+    ctx = PrecisionContext(30)
+    with pytest.raises(DomainError):
+        remainder_jet(ctx, 1, 3, 2, 1)
+    with pytest.raises(DomainError):
+        remainder_jet(ctx, 1, 0, 17, 1)
+    with pytest.raises(DomainError):
+        remainder_jet(ctx, 1, -1, 2, 1)
+    with pytest.raises(DomainError):
+        remainder_jet(ctx, 1, 0, 2, 0)
