@@ -113,6 +113,14 @@ class DegreeBracket:
         return self.passed_alpha <= x <= self.failed_alpha
 
 
+class _GridCache(dict):
+    """A derivative cache that also holds its grid's points, built once."""
+
+    def __init__(self, points):
+        super().__init__()
+        self.points = points
+
+
 def _scaled_deriv(ctx, family, cache, l, idx, pts, top):
     """H_l = t^l h^(l)(t) at grid point ``idx``, through the cache.  A miss
     fills orders 0..``top`` there from one jet when the family has one."""
@@ -162,8 +170,8 @@ def cm_check(
     if grid is None:
         grid = DEFAULT_GRID
     tol = ctx.mpf(10) ** (-(ctx.digits // 2))
-    pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
+    pts = cache.points if isinstance(cache, _GridCache) else grid.points(ctx)
 
     # coef[j][i] = C(j,i) <alpha>_i, with d^i/dt^i t^alpha = <alpha>_i t^(alpha-i)
     fall = [ctx.mpf(1)]
@@ -202,8 +210,8 @@ def first_deriv_bound(
     """
     if grid is None:
         grid = DEFAULT_GRID
-    pts = grid.points(ctx)
     cache = _cache if _cache is not None else {}
+    pts = cache.points if isinstance(cache, _GridCache) else grid.points(ctx)
     best = None
     for idx in range(len(pts)):
         h0 = _scaled_deriv(ctx, family, cache, 0, idx, pts, 1)
@@ -258,7 +266,7 @@ def degree_estimate(
     _check_resolution(ctx, res, lo, hi)
     if grid is None:
         grid = DEFAULT_GRID
-    cache = {}
+    cache = _GridCache(grid.points(ctx))
 
     r_lo = cm_check(ctx, family, lo, order=order, grid=grid, _cache=cache)
     if not r_lo.passed:

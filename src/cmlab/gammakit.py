@@ -38,13 +38,15 @@ a stop relative to the first Bernoulli term and so to the value, and the
 truncation bound is that first omitted term, computed in mpf.  The head
 (n <= 30 terms at the unshifted t, where w may exceed 1) stays in mpf.
 
-Each order has one coefficient table: the exact coefficients (as
-``Fraction``), their float log2 magnitudes and one list of fixed-point
-integers, rebuilt at more bits when a call needs them.  A call at F bits
-shifts the table's floor(c_k 2^B) right by B - F bits, which is exactly
-floor(c_k 2^F) whatever B is, so values do not depend on which
-precisions ran before.  The tables only grow, under a lock, and are read
-without one.
+``_term_count`` and ``_series`` serve every series of the package from a
+start index k0, stopping relative to term k0: k0 = 1 for the Stirling
+series, k0 = n+1 for the kernels' Taylor series of f_n^(l).  Each exact
+coefficient sequence has one table, keyed by the function that gives its
+k-th coefficient and that function's parameter: the ``Fraction`` values,
+their float log2 magnitudes and the integers floor(c_k 2^B), rebuilt at
+more bits when a call needs them.  Shifted right by B - F bits they give
+exactly floor(c_k 2^F), so values do not depend on which precisions ran
+before.  The tables only grow, under one lock, and are read without one.
 """
 
 from __future__ import annotations
@@ -80,55 +82,62 @@ class GammaEval:
 
 
 class _Coeffs:
-    """The series coefficients of one order, entry k-1 for the k-th term:
-    exact, as float log2 of their magnitude, and as ``fixed`` = (B, list
-    of floor(c_k 2^B))."""
+    """The sequence k -> coeff(param, k), entry k-1 for term k: exact, as
+    float log2 magnitudes (-inf for a zero), and as ``fixed`` = (B, list of
+    floor(c_k 2^B))."""
 
-    def __init__(self):
+    def __init__(self, coeff, param):
+        self.coeff = coeff
+        self.param = param
         self.exact = []
         self.log2 = []
         self.fixed = (0, [])
 
 
-# key -1 is ln-gamma, 0 is psi, m >= 1 is psi^(m)
-_COEFF: dict = {}
-# serialises the filling of the tables; a list only grows and a table's
+# one table per (coefficient function, parameter)
+_TABLES: dict = {}
+# serialises the filling of every table; a list only grows and a table's
 # ``fixed`` pair is replaced whole, so a reader needs no lock
 _FILL = threading.Lock()
 
 
-def _table(order: int) -> _Coeffs:
-    tab = _COEFF.get(order)
+def _table(coeff, param) -> _Coeffs:
+    """The table of the sequence k -> coeff(param, k), made on first use."""
+    key = (coeff, param)
+    tab = _TABLES.get(key)
     if tab is None:
         with _FILL:
-            tab = _COEFF.setdefault(order, _Coeffs())
+            tab = _TABLES.setdefault(key, _Coeffs(coeff, param))
     return tab
 
 
-def _frac_coeffs(order: int, upto: int):
-    tab = _table(order)
+def _stirling(order: int, k: int) -> Fraction:
+    """B_2k (2k+order-1)!/(2k)!, the k-th Bernoulli coefficient of ln Gamma
+    (order -1: B_2k/((2k)(2k-1))), psi (order 0: B_2k/(2k)) or psi^(order)."""
+    return bernoulli(2 * k) * Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
+
+
+def _frac_coeffs(tab: _Coeffs, upto: int):
+    """The exact c_k for k <= upto."""
     lst = tab.exact
     if len(lst) < upto:
         with _FILL:
             while len(lst) < upto:
-                # B_2k (2k+order-1)!/(2k)!: B_2k/((2k)(2k-1)) for ln Gamma,
-                # B_2k/(2k) for psi, B_2k (2k+1)...(2k+order-1) above
-                k = len(lst) + 1
-                ratio = Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
-                c = bernoulli(2 * k) * ratio
+                c = tab.coeff(tab.param, len(lst) + 1)
                 # the log goes in first: a reader that finds entry k in
                 # ``exact`` finds it in ``log2`` too
-                tab.log2.append(math.log2(abs(c.numerator)) - math.log2(c.denominator))
+                tab.log2.append(
+                    math.log2(abs(c.numerator)) - math.log2(c.denominator) if c else -math.inf
+                )
                 lst.append(c)
-    return lst
+    return lst[:upto]
 
 
-def _fixed_coeffs(order: int, upto: int, bits: int):
-    """floor(c_k 2^bits) for k <= upto."""
-    tab = _table(order)
+def _fixed_coeffs(tab: _Coeffs, k0: int, upto: int, bits: int):
+    """floor(c_k 2^bits) for k0 <= k <= upto."""
     have, lst = tab.fixed
     if have < bits or len(lst) < upto:
-        exact = _frac_coeffs(order, upto)
+        exact = _frac_coeffs(tab, upto)
         with _FILL:
             have, lst = tab.fixed
             if have < bits:
@@ -138,7 +147,7 @@ def _fixed_coeffs(order: int, upto: int, bits: int):
                 lst.append((c.numerator << have) // c.denominator)
             tab.fixed = (have, lst)
     drop = have - bits
-    return [c >> drop for c in lst[:upto]]
+    return [c >> drop for c in lst[k0 - 1 : upto]]
 
 
 def _log2(x) -> float:
@@ -147,37 +156,32 @@ def _log2(x) -> float:
     return math.log2(man) + exp
 
 
-def _term_count(order: int, log2_w: float, rel_bits: int) -> int:
-    """The index K of the first Bernoulli term with |c_K/c_1| w^(K-1) <=
-    2^-rel_bits; the terms before it are summed and it bounds the rest.
-
-    The terms must still be shrinking there, which the shift threshold
-    guarantees.
-    """
-    logs = _table(order).log2
-    _frac_coeffs(order, 1)
-    prev = 0.0  # the first term over itself
-    k = 1
+def _term_count(tab: _Coeffs, k0: int, log2_w: float, rel_bits: int) -> int:
+    """The index K of the first term of sum_{k>=k0} c_k w^(k-k0) (c_k0 != 0)
+    with |c_K/c_k0| w^(K-k0) <= 2^-rel_bits.  The terms must shrink from k0
+    on, which the shift threshold guarantees for the asymptotic series."""
+    logs = tab.log2
+    _frac_coeffs(tab, k0)
+    prev = 0.0  # term k0 over itself
+    k = k0  # 0-based index of term k0+1
     while True:
         if len(logs) <= k:
-            _frac_coeffs(order, 2 * k)
-        rel = logs[k] - logs[0] + k * log2_w  # the (k+1)-th term over the first
+            _frac_coeffs(tab, 2 * k)
+        rel = logs[k] - logs[k0 - 1] + (k + 1 - k0) * log2_w  # term k+1 over term k0
         if rel <= -rel_bits:
             return k + 1
         if rel >= prev:
-            raise AssertionError(
-                "asymptotic series stalled at k=%d; shift threshold too low" % (k + 1)
-            )
+            raise AssertionError("series stalled at k=%d; its terms do not shrink" % (k + 1))
         prev = rel
         k += 1
 
 
-def _series(wctx: PrecisionContext, order: int, w_fixed: int, bits: int, log2_w: float):
-    """sum_{k<K} c_k w^(k-1) in fixed point at ``bits``, with K from
-    :func:`_term_count`.  Returns (the sum, c_K, K), both numbers as
-    fixed-point integers."""
-    count = _term_count(order, log2_w, wctx.prec + _GUARD)
-    coeffs = _fixed_coeffs(order, count, bits)
+def _series(wctx: PrecisionContext, tab: _Coeffs, k0: int, w_fixed: int, bits: int, log2_w: float):
+    """sum_{k0<=k<K} c_k w^(k-k0) (w < 1) in fixed point at ``bits``, with K
+    from :func:`_term_count` at 2^-(prec+guard).  Returns (the sum, c_K, K),
+    both numbers as fixed-point integers, the sum off by under 2(K-k0) units."""
+    count = _term_count(tab, k0, log2_w, wctx.prec + _GUARD)
+    coeffs = _fixed_coeffs(tab, k0, count, bits)
     acc = 0
     for c in reversed(coeffs[:-1]):
         acc = ((acc * w_fixed) >> bits) + c
@@ -208,13 +212,14 @@ def _expansion(wctx: PrecisionContext, lo: int, hi: int, z, n=None):
         log2_w = -2 * _log2(z)
     values, truncs = [], []
     for order in range(lo, hi + 1):
+        tab = _table(_stirling, order)
         if n is None:
-            acc, first_out, count = _series(wctx, order, w_fixed, bits, log2_w)
+            acc, first_out, count = _series(wctx, tab, 1, w_fixed, bits, log2_w)
             tail = wctx.from_fixed(acc, bits) * zp[order + 2]
             truncs.append(abs(wctx.from_fixed(first_out, bits)) * zinv ** (2 * count + order))
         else:
             tail = wctx.mpf(0)
-            for k, c in enumerate(_fixed_coeffs(order, n, bits), 1):
+            for k, c in enumerate(_fixed_coeffs(tab, 1, n, bits), 1):
                 tail += wctx.from_fixed(c, bits) * zp[2 * k + order]
             truncs.append(None)
         if order == -1:

@@ -5,13 +5,17 @@ The base kernel is
 
     f_n(v) = (-1)^n [ 1/v - (1/2) coth(v/2) + sum_{k=1}^n B_{2k} v^{2k-1}/(2k)! ]
 
-whose Laplace transform gives R_n'(t).  Near the origin the closed form
-cancels catastrophically, so below v = 1/2 everything switches to the
-Taylor series f_n(v) = (-1)^{n+1} sum_{k>=n+1} B_{2k} v^{2k-1}/(2k)!
-(convergent for |v| < 2 pi).  Above the branch point the closed form is
-used with a precision boost sized to the known cancellation.  One routine
-makes that choice for f_n and for each derivative f_n^(ell); ``f_kernel``
-is its ell = 0 case, and ``K_kernel`` its ell = m case up to sign.
+whose Laplace transform gives R_n'(t).  One routine evaluates f_n and
+each derivative f_n^(ell); ``f_kernel`` is its ell = 0 case, and
+``K_kernel`` its ell = m case up to sign.  Both branches read one exact
+gammakit table per ell of a_k^(ell) = B_{2k} <2k-1>_ell/(2k)!.  Near the
+origin the closed form cancels catastrophically, so below v = 1/2 the
+Taylor series (-1)^{n+1} sum_{k>=n+1} a_k^(ell) v^{2k-1-ell} is summed
+by gammakit's fixed-point series routine in w = v^2 < 1/4, stopped
+relative to its first term.  Elsewhere (and where that series' second
+term is not below its first, as for K_m with m near 30 and beyond just
+under 1/2) the closed form runs under a precision boost sized to the
+known cancellation.
 
 High derivatives of 1/v - (1/2) coth(v/2) are never taken numerically:
 the Bose factor 1/(e^v - 1) has the exact Stirling-number derivative
@@ -22,12 +26,12 @@ closed form.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import bernoulli, falling, stirling2
+from .combinatorics import bernoulli, stirling2
 from .errors import DomainError
+from .gammakit import _GUARD, _frac_coeffs, _log2, _series, _table
 from .precision import GridSpec, PrecisionContext
 
 __all__ = [
@@ -41,23 +45,16 @@ __all__ = [
 ]
 
 _SERIES_BRANCH = Fraction(1, 2)  # below this, Taylor series; above, closed form
-_SERIES_CAP = 300  # Taylor terms allowed before the series gives up
 _TWO_PI_FLOAT = 2 * math.pi
 
 
-# B_{2k}/(2k)! as exact fractions, index k-1; filled under the lock, read
-# without it
-_B_OVER_FACT: list = []
-_B_OVER_FACT_FILL = threading.Lock()
-
-
-def _b_over_fact(k: int) -> Fraction:
-    if len(_B_OVER_FACT) < k:
-        with _B_OVER_FACT_FILL:
-            while len(_B_OVER_FACT) < k:
-                j = len(_B_OVER_FACT) + 1
-                _B_OVER_FACT.append(bernoulli(2 * j) / math.factorial(2 * j))
-    return _B_OVER_FACT[k - 1]
+def _taylor(ell: int, k: int) -> Fraction:
+    """a_k^(ell) = B_2k <2k-1>_ell/(2k)! = B_2k/(2k (2k-1-ell)!), the k-th
+    Taylor coefficient of d^ell/dv^ell (1/v - (1/2) coth(v/2)) up to sign;
+    zero when 2k-1 < ell."""
+    if 2 * k - 1 < ell:
+        return Fraction(0)
+    return bernoulli(2 * k) / (2 * k * math.factorial(2 * k - 1 - ell))
 
 
 def _closed_boost(m_like: int, v: float) -> int:
@@ -66,11 +63,6 @@ def _closed_boost(m_like: int, v: float) -> int:
     if v >= _TWO_PI_FLOAT:
         return 10
     return int((m_like + 2) * math.log10(_TWO_PI_FLOAT / v)) + 10
-
-
-def _c_closed(wctx: PrecisionContext, v):
-    """1/v - (1/2) coth(v/2) = 1/v - 1/2 - 1/(e^v - 1), v > 0."""
-    return 1 / v - wctx.mpf(1) / 2 - 1 / wctx.expm1(v)
 
 
 def f_kernel(ctx: PrecisionContext, n: int, v):
@@ -82,75 +74,53 @@ def f_kernel(ctx: PrecisionContext, n: int, v):
 
 
 def _f_deriv(ctx, n, ell, v):
-    """d^ell/dv^ell of f_n at v > 0: the Taylor series below v = 1/2, the
-    closed form above."""
+    """d^ell/dv^ell of f_n at v > 0: the Taylor series below v = 1/2 where
+    its terms shrink from the first on, the closed form elsewhere."""
     v0 = ctx.mpf(v)
     if not (ctx.isfinite(v0) and v0 > 0):
         raise DomainError("f_%d^(%d) requires v > 0, got %s" % (n, ell, v0))
     if v0 < ctx.mpf(_SERIES_BRANCH):
-        return _f_series(ctx, n, v0, ell)
+        # the series' second term over its first (K_m, m >~ 30: not below 1)
+        tab = _table(_taylor, ell)
+        _frac_coeffs(tab, n + 2)
+        if tab.log2[n + 1] - tab.log2[n] + 2 * _log2(v0) < 0:
+            return _f_series(ctx, n, v0, ell)
     return _f_closed(ctx, n, v0, ell)
 
 
 def _f_series(ctx, n, v, ell):
-    """d^ell/dv^ell of f_n by its Taylor series, for ell <= 2n+1:
-    (-1)^{n+1} sum_{k>=n+1} B_{2k}/(2k)! * <2k-1>_ell * v^{2k-1-ell}."""
-    stop = ctx.mpf(10) ** (-(ctx.digits + 5))
-    v2 = v * v
-    total = ctx.mpf(0)
-    k = n + 1
-    vpow = v ** (2 * k - 1 - ell)
-    count = 0
-    while count < _SERIES_CAP:
-        coeff = _b_over_fact(k) * falling(2 * k - 1, ell)
-        term = ctx.mpf(coeff) * vpow
-        total += term
-        if abs(term) < stop:
-            break
-        vpow *= v2
-        k += 1
-        count += 1
-    else:
-        raise DomainError(
-            "series for f_%d^(%d) did not reach the cutoff within %d terms"
-            % (n, ell, _SERIES_CAP)
-        )
-    sign = -1 if n % 2 == 0 else 1
-    return sign * total
+    """d^ell/dv^ell of f_n = (-1)^{n+1} v^{2n+1-ell} sum_{k>n} a_k^(ell)
+    w^{k-n-1} for ell <= 2n+1 and w = v^2 < 1/4, with prec + guard bits
+    below |a_{n+1}| (a_k shrinks like (2 pi)^-2k)."""
+    tab = _table(_taylor, ell)
+    k0 = n + 1
+    _frac_coeffs(tab, k0)
+    # w too is held to 2^-bits, so bits never drops below prec + guard
+    bits = ctx.prec + _GUARD - min(0, math.floor(tab.log2[k0 - 1]))
+    acc, _, _ = _series(ctx, tab, k0, ctx.to_fixed(v * v, bits), bits, 2 * _log2(v))
+    val = ctx.from_fixed(acc, bits) * v ** (2 * n + 1 - ell)
+    return val if n % 2 else -val
 
 
 def _f_closed(ctx, n, v, ell):
-    """d^ell/dv^ell of f_n by its closed form, under a precision boost sized
-    to the cancellation (derivative of 1/v exactly, Bose factor via the
-    Stirling identity)."""
+    """d^ell/dv^ell of f_n = (-1)^n [(-1)^ell ell!/v^(ell+1) - [ell = 0]/2 -
+    d^ell/dv^ell 1/(e^v - 1) + sum_{k<=n} a_k^(ell) v^(2k-1-ell)], under a
+    boost sized to the cancellation (the Bose factor via Stirling numbers)."""
     wctx = ctx.boosted(_closed_boost(2 * n if ell == 0 else ell + 1, float(v)))
     vv = wctx.mpf(v)
+    acc = (-1) ** ell * math.factorial(ell) / vv ** (ell + 1)
     if ell == 0:
-        acc = _c_closed(wctx, vv)
-        for k in range(1, n + 1):
-            acc += wctx.mpf(_b_over_fact(k)) * vv ** (2 * k - 1)
-    else:
-        sign_l = 1 if ell % 2 == 0 else -1
-        acc = sign_l * wctx.mpf(math.factorial(ell)) / vv ** (ell + 1)
-        acc -= bose_derivative(wctx, ell, vv)
-        for k in range(1, n + 1):
-            fal = falling(2 * k - 1, ell)
-            if fal:
-                acc += wctx.mpf(_b_over_fact(k) * fal) * vv ** (2 * k - 1 - ell)
-    sign = 1 if n % 2 == 0 else -1
-    return ctx.mpf(sign * acc)
+        acc -= wctx.mpf(1) / 2
+    acc -= bose_derivative(wctx, ell, vv)
+    for k, a in enumerate(_frac_coeffs(_table(_taylor, ell), n), 1):
+        if a:
+            acc += wctx.mpf(a) * vv ** (2 * k - 1 - ell)
+    return ctx.mpf(acc if n % 2 == 0 else -acc)
 
 
-# Stirling-number coefficient rows (p-1)! S(k+1, p), exact ints, index k
-_BOSE_ROWS: dict = {}
-
-
-def _bose_row(k: int):
-    row = _BOSE_ROWS.get(k)
-    if row is None:
-        row = [math.factorial(p - 1) * int(stirling2(k + 1, p)) for p in range(1, k + 2)]
-        _BOSE_ROWS[k] = row
-    return row
+def _bose(k: int, p: int) -> int:
+    """(p-1)! S(k+1, p), the p-th coefficient of the k-th Bose derivative."""
+    return math.factorial(p - 1) * int(stirling2(k + 1, p))
 
 
 def bose_derivative(ctx: PrecisionContext, k: int, v):
@@ -170,7 +140,7 @@ def bose_derivative(ctx: PrecisionContext, k: int, v):
     if k == 0:
         return u
     acc = ctx.mpf(0)
-    for c in reversed(_bose_row(k)):
+    for c in reversed(_frac_coeffs(_table(_bose, k), k + 1)):
         acc = (acc + c) * u
     return acc if k % 2 == 0 else -acc
 

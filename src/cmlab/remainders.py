@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .gammakit import _expansion, _frac_coeffs, _jet
+from .gammakit import _expansion, _frac_coeffs, _jet, _log2, _stirling, _table
 from .precision import PrecisionContext
 
 __all__ = [
@@ -67,8 +67,10 @@ def _check_t(ctx, t):
 
 def _boost(n: int, j: int, t) -> int:
     """Extra digits to absorb the large-t cancellation down to the
-    t^-(2n+j+1) tail."""
-    lt = math.log10(float(t)) if float(t) > 1 else 0.0
+    t^-(2n+j+1) tail; beyond the float range log10 t comes from t's
+    binary exponent."""
+    ft = float(t)
+    lt = _log2(t) * math.log10(2) if ft == math.inf else math.log10(ft) if ft > 1 else 0.0
     return int(math.ceil((2 * n + j + 2) * lt)) + 15
 
 
@@ -169,7 +171,7 @@ def tail_limits(ctx: PrecisionContext, n) -> TailLimits:
     rp_inf = -remainder_d1(ctx, n, t_inf)
     rp_zero = -remainder_d1(ctx, n, t_zero)
 
-    b_over_2k = _frac_coeffs(0, n + 1)  # B_{2k}/(2k), index k-1
+    b_over_2k = _frac_coeffs(_table(_stirling, 0), n + 1)  # B_{2k}/(2k), index k-1
     sign_inf = 1 if n % 2 == 1 else -1  # (-1)^{n+1}
     target3 = Fraction(sign_inf) * b_over_2k[n]
     sign_zero = -sign_inf  # (-1)^n

@@ -264,6 +264,20 @@ def test_degree_estimate_fills_cache_with_one_jet_per_point():
     assert abs(bracket.first_deriv_bound - other.first_deriv_bound) < ctx.mpf(10) ** (-25)
 
 
+def test_degree_estimate_builds_grid_points_once(monkeypatch):
+    ctx = PrecisionContext(30)
+    calls = []
+    points = GridSpec.points
+
+    def counted_points(grid, c):
+        calls.append(grid)
+        return points(grid, c)
+
+    monkeypatch.setattr(GridSpec, "points", counted_points)
+    degree_estimate(ctx, builtin_families()["negRprime:2"], resolution=0.1, order=4, grid=COARSE)
+    assert calls == [COARSE]
+
+
 def test_cm_check_jet_and_single_orders_agree():
     # the jet path and the one-order path fill the same scaled cache
     ctx = PrecisionContext(30)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import cmlab
-from cmlab import PrecisionContext, polygamma, remainder_jet
+from cmlab import K_kernel, PrecisionContext, f_kernel, polygamma, remainder_jet
 
 from test_combinatorics import akiyama_tanigawa
 
@@ -22,13 +22,15 @@ POLYGAMMA_DIGITS = range(40, 70)
 # the jump past twice the bits of the first entry makes the fixed-point
 # coefficient tables rebuild at more bits while other threads read them
 JET_DIGITS = (40, 130, 50, 45)
+# the same jump for the kernels' Taylor tables, on both kernel branches
+KERNEL_DIGITS = (40, 130, 50)
 
 _SCRIPT = """
 import json, sys, threading
 sys.setswitchinterval(1e-6)
-from cmlab import PrecisionContext, bernoulli, polygamma, remainder_jet
+from cmlab import K_kernel, PrecisionContext, bernoulli, f_kernel, polygamma, remainder_jet
 
-THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS = %d, %d, range(%d, %d), %r
+THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, KERNEL_DIGITS = %d, %d, range(%d, %d), %r, %r
 
 
 def bernoulli_fill():
@@ -45,7 +47,24 @@ def jet_sweep():
         remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")
 
 
-work = {"bernoulli": bernoulli_fill, "polygamma": polygamma_sweep, "jet": jet_sweep}[sys.argv[1]]
+def kernels(d):
+    ctx = PrecisionContext(d)
+    return [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")] + [
+        K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")
+    ]
+
+
+def kernel_sweep():
+    for d in KERNEL_DIGITS:
+        kernels(d)
+
+
+work = {
+    "bernoulli": bernoulli_fill,
+    "polygamma": polygamma_sweep,
+    "jet": jet_sweep,
+    "kernel": kernel_sweep,
+}[sys.argv[1]]
 barrier = threading.Barrier(THREADS)
 errors = []
 
@@ -68,6 +87,7 @@ print(json.dumps({
     "bernoulli": [str(bernoulli(k)) for k in range(MAX_BERNOULLI + 1)],
     "polygamma": [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS],
     "jet": [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS],
+    "kernel": [repr(kernels(d)) for d in KERNEL_DIGITS],
 }))
 """ % (
     THREADS,
@@ -75,11 +95,12 @@ print(json.dumps({
     POLYGAMMA_DIGITS.start,
     POLYGAMMA_DIGITS.stop,
     JET_DIGITS,
+    KERNEL_DIGITS,
 )
 
 
 def _race_in_fresh_interpreter(work):
-    """Run ``work`` ("bernoulli" or "polygamma") on THREADS threads at once
+    """Run ``work`` (a key of the script's ``work`` table) on THREADS threads at once
     in a new interpreter, then read the caches back single-threaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cmlab.__file__)))
     env = dict(os.environ)
@@ -116,3 +137,15 @@ def test_remainder_jet_filled_concurrently_matches_single_thread():
     assert result["errors"] == []
     single = [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS]
     assert result["jet"] == single
+
+
+def test_kernels_filled_concurrently_match_single_thread():
+    result = _race_in_fresh_interpreter("kernel")
+    assert result["errors"] == []
+    single = []
+    for d in KERNEL_DIGITS:
+        ctx = PrecisionContext(d)
+        vals = [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")]
+        vals += [K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")]
+        single.append(repr(vals))
+    assert result["kernel"] == single

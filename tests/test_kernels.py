@@ -166,6 +166,58 @@ def test_K_kernel_matches_series_oracle(m, v):
     assert abs(K_kernel(ctx, m, v) - oracle) < ctx.mpf(10) ** (-40)
 
 
+# both branches, from deep inside the Taylor range to far out on the closed form
+ORACLE_POINTS = ("1e-6", "7e-5", "1e-3", "0.03", "0.4999", "0.5001", "1.7", "9", "100")
+
+
+def _kernel_oracle(digits, n, m, v):
+    """f_n(v) (m = 0) or K_m(v) (m >= 1) at the binary value v, from
+    mpmath's expm1 and bernoulli at digits + 60 + the digits the closed
+    form cancels near 0; K_m's derivative is mpmath's own ``diff``."""
+    top = max(n, (m + 1) // 2)
+    cancel = int((2 * top + 4) * max(0.0, math.log10(2 * math.pi / float(v)))) + 1
+    with mpmath.workdps(digits + 60 + cancel):
+        x = mpmath.mpf(v)
+        if m == 0:
+            head = sum(mpmath.bernoulli(2 * k) * x ** (2 * k - 1) / mpmath.factorial(2 * k)
+                       for k in range(1, n + 1))
+            val = 1 / x - mpmath.mpf(1) / 2 - 1 / mpmath.expm1(x) + head
+            return val if n % 2 == 0 else -val
+        c = mpmath.diff(lambda y: 1 / y - 1 / mpmath.expm1(y), x, m)
+        if m % 2:
+            c += mpmath.bernoulli(m + 1) / (m + 1)
+        return c
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("v", ORACLE_POINTS)
+def test_f_and_K_kernel_match_mpmath_oracle(digits, v):
+    # relative 10^-(digits-3) for f_0..f_5 and K_1..K_11 on both branches
+    ctx = PrecisionContext(digits)
+    x = ctx.mpf(v)
+    failures = []
+    for n, m in [(n, 0) for n in range(6)] + [(0, m) for m in range(1, 12)]:
+        got = f_kernel(ctx, n, x) if m == 0 else K_kernel(ctx, m, x)
+        want = _kernel_oracle(digits, n, m, x)
+        with mpmath.workdps(digits + 10):
+            rel = abs(mpmath.mpf(got) - want) / abs(want)
+            if rel > mpmath.mpf(10) ** (3 - digits):
+                failures.append((n, m, float(rel)))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("m", [31, 40])
+@pytest.mark.parametrize("v", ["0.05", "0.3", "0.4999", "2"])
+def test_K_kernel_high_orders_match_mpmath_oracle(m, v):
+    # a_{n+1} is far above 1 here, and for v near 1/2 the Taylor series'
+    # second term outgrows its first, so the closed form takes over
+    ctx = PrecisionContext(30)
+    x = ctx.mpf(v)
+    want = _kernel_oracle(30, 0, m, x)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(K_kernel(ctx, m, x)) - want) <= mpmath.mpf(10) ** -27 * abs(want)
+
+
 def test_K2_at_one_closed_identity():
     # K_2(1) = 2 - (u + 3u^2 + 2u^3) with u = 1/(e - 1)
     ctx = PrecisionContext(50)

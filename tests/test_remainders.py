@@ -175,6 +175,21 @@ def test_large_argument_stability():
     assert abs(value / env - 1) < ctx.mpf(10) ** (-10)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_derivative_beyond_float_range_is_leading_tail_term(n):
+    # at t = 1e400 the next tail term is 10^-800 of the leading one,
+    # (-1)^n c_{n+1} (1 - 2(n+1)) t^(-2n-2) with c_k = B_2k/((2k)(2k-1))
+    ctx = PrecisionContext(30)
+    t = ctx.mpf("1e400")
+    k = n + 1
+    c = Fraction(bernoulli(2 * k), 2 * k * (2 * k - 1))
+    lead = ctx.mpf((-1) ** n * c * (1 - 2 * k)) * t ** (-2 * k)
+    got = remainder_deriv(ctx, n, 1, t)
+    assert abs(got - lead) <= ctx.mpf(10) ** (-27) * abs(lead)
+    # -t R_n''/R_n' tends to 2n+2 at infinity
+    assert abs(ratio_bound(ctx, n, t) - 2 * k) <= ctx.mpf(10) ** (-27)
+
+
 def test_remainder_domain():
     ctx = PrecisionContext(30)
     with pytest.raises(DomainError):
