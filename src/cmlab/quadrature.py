@@ -19,6 +19,15 @@ exponential-envelope tail.
 
 Two stability rules are applied throughout: 1 - cos(x) is always evaluated
 as 2 sin^2(x/2), and 1/(e^x - 1) always goes through expm1.
+
+The cosine kernel's factor w^{2n-1} and expm1(2 pi w) does not depend on
+v.  A caller that integrates it for many v (the inner integrals of the
+Laplace form of -R_n') passes one dict that keeps the pair per node w.
+Only for v <= pi are the panels the same unit panels [k, k+1] for every
+v, so only there do later calls meet the same nodes; above pi the panels
+are pi/v wide and the dict is left alone, which keeps it to a few hundred
+entries.  The integrand is still formed in the same operations, so every
+value and error bound is bit-identical to an unshared call.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from typing import Callable
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.ctx_mp import MPContext
 
-from .combinatorics import bernoulli
 from .errors import DomainError, IntegrationError
+from .gammakit import _GUARD, _fixed_coeffs, _log2, _table, _term_count
+from .kernels import _taylor
 from .precision import PrecisionContext
 
 __all__ = [
@@ -272,9 +282,9 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
 
     The integrand behaves like w^{s-1}/(2 pi) at the origin.  For integer
     s the regrouped integrand w^{s-1} * [w / (e^{2 pi w} - 1)] is analytic
-    there and plain panels converge; for non-integer s the first panel is
-    summed through the exact Bernoulli generating-function series instead
-    (term bound 2.1/(2 pi)^j keeps the truncation certified).
+    there and plain panels converge; for non-integer s the first panel
+    [0, 1/8] is summed through the Bernoulli generating-function series
+    instead, to the working precision.
     """
     s = ctx.mpf(s)
     if s <= 0:
@@ -291,49 +301,49 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
         panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1) / 2, tol)
         return _march(ctx, integrand, panels, tail, tol, bud)
     a = ctx.mpf(1) / 8
-    val, serr = _bose_corner_series(ctx, s, a, tol / 8)
+    val, serr = _bose_corner_series(ctx, s, a)
     panels = _doubling_panels(ctx, a, 2 * a, tol)
     return _march(ctx, integrand, panels, tail, tol, bud, total=val, err=serr)
 
 
-def _bose_corner_series(ctx, s, w0, tol):
-    """int_0^{w0} w^s/(e^{2 pi w}-1) dw by the generating-function series
+def _bose_corner_series(ctx, s, w0):
+    """int_0^{w0} w^s/(e^{2 pi w}-1) dw and an error bound, by the
+    generating-function series
 
     w^s/(e^{2 pi w}-1) = w^{s-1}/(2 pi) * sum_j B_j (2 pi w)^j / j!
 
-    Integrating termwise gives sum_j B_j (2 pi)^{j-1} w0^{s+j} / (j! (s+j)).
-    Valid for 2 pi w0 < 2 pi; with w0 = 1/8 the term ratio is below 1/7 so
-    convergence is geometric and the tail is bounded by the last term.
+    integrated termwise: with y = 2 pi w0, x = y^2 and a_k = B_2k/(2k)!,
+
+    w0^s/(2 pi) [1/s - y/(2(s+1)) + sum_{k>=1} a_k x^k/(s+2k)].
+
+    For y < 2 pi the a_k x^k alternate in sign and shrink (by about
+    x/(4 pi^2)), and 1/(s+2k) only shrinks later terms more, so the term
+    count gammakit takes from the a_k x^k alone, relative to the k = 1
+    term, is conservative, and the first omitted term bounds the
+    truncation.  The bound adds the rounding of the terms summed.
     """
+    tab = _table(_taylor, 0)  # a_k: the Taylor coefficients of f_0
     two_pi = 2 * ctx.pi
-    total = ctx.mpf(0)
-    jfact = 1
-    for j in range(0, 400):
-        if j > 1 and j % 2 == 1:
-            jfact *= j
-            continue  # odd Bernoulli numbers vanish
-        bj = bernoulli(j)
-        if j > 0:
-            jfact *= j
-        term = (
-            ctx.mpf(bj)
-            * ctx.power(two_pi, j - 1)
-            * ctx.power(w0, s + j)
-            / (jfact * (s + j))
-        )
-        total += term
-        if j > 2 and abs(term) < tol / 4:
-            # ratio of consecutive kept terms is < (2 pi w0)^2 / (2 pi)^2 = w0^2
-            tail = abs(term) * 2
-            return total, tail
-    raise IntegrationError("bose corner series did not converge")
+    y = two_pi * w0
+    x = y * y
+    bits = ctx.prec + _GUARD
+    count = _term_count(tab, 1, 2 * _log2(y), bits)
+    terms = [1 / s, -y / (2 * (s + 1))]
+    xk = ctx.mpf(1)
+    for k, c in enumerate(_fixed_coeffs(tab, 1, count, bits), 1):
+        xk *= x
+        terms.append(ctx.from_fixed(c, bits) * xk / (s + 2 * k))
+    omitted = abs(terms.pop())
+    scale = ctx.power(w0, s) / two_pi
+    rounding = 4 * (count + 4) * ctx.eps * sum(abs(term) for term in terms)
+    return scale * sum(terms), scale * (omitted + rounding)
 
 
 # -- oscillatory kernels -----------------------------------------------
 
 
 def cos_kernel_integral(
-    ctx: PrecisionContext, n: int, v, tol, budget: int = DEFAULT_BUDGET
+    ctx: PrecisionContext, n: int, v, tol, budget: int = DEFAULT_BUDGET, _weights=None
 ) -> IntegralResult:
     """int_0^inf w^{2n-1} [1 - cos(wv)] / (e^{2 pi w} - 1) dw  (n >= 1, v >= 0).
 
@@ -341,6 +351,11 @@ def cos_kernel_integral(
     is also what keeps it cancellation-free).  Panels are aligned to the
     half-period pi/v (capped at width 1) so each panel sees at most one
     hump of the oscillation; at v = 0 the integral is exactly 0.
+
+    ``_weights`` is a dict shared by calls with the same context and n.  It
+    maps a node w to the v-independent pair (w^{2n-1}, expm1(2 pi w)) and
+    is read and filled only for v <= pi, where the panels are the unit
+    panels that every such v shares; above pi the nodes depend on v.
     """
     n = int(n)
     if n < 1:
@@ -352,10 +367,19 @@ def cos_kernel_integral(
         return IntegralResult(ctx.mpf(0), ctx.mpf(0), 0)
     two_pi = 2 * ctx.pi
     p = 2 * n - 1
+    # one call never visits a node twice; only the unit panels of v <= pi
+    # are visited again, by the next call
+    weights = _weights if v <= ctx.pi else None
 
     def integrand(w):
+        pair = None if weights is None else weights.get(w._mpf_)
+        if pair is None:
+            pair = (ctx.power(w, p), ctx.expm1(two_pi * w))
+            if weights is not None:
+                weights[w._mpf_] = pair
+        pw, em = pair
         sh = ctx.sin(w * v / 2)
-        return ctx.power(w, p) * 2 * sh * sh / ctx.expm1(two_pi * w)
+        return pw * 2 * sh * sh / em
 
     tol = ctx.mpf(tol)
     panels = _half_period_panels(ctx, v, p, two_pi, tol)

@@ -154,3 +154,31 @@ def test_jet_without_shift_matches_oracle(digits):
         with mpmath.workdps(digits + 15):
             assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (2 - digits) * abs(want)
             assert 0 < trunc <= mpmath.mpf(10) ** (-digits) * abs(want)
+
+
+# zeros near which a relative error says nothing: ln Gamma at 1 and 2,
+# psi at 1.4616...
+_ZEROS = {-1: (1.0, 2.0), 0: (1.4616321449683623,)}
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 100])
+def test_ln_gamma_and_polygamma_match_mpmath_oracle_on_seeded_sweep(digits):
+    # ln Gamma (order -1) and psi^(m) at 40 seeded points log-uniform in
+    # [1e-12, 1e12]: within 10^-(digits-3) relative away from the zeros,
+    # and within est_error everywhere
+    ctx = PrecisionContext(digits)
+    rng = random.Random(digits)
+    points = [10 ** rng.uniform(-12, 12) for _ in range(40)]
+    failures = []
+    for order in (-1, 0, 1, 3, 7, 12):
+        for t in points:
+            res = ln_gamma(ctx, t) if order == -1 else polygamma(ctx, order, t)
+            want = oracle_lngamma(digits, t) if order == -1 else oracle_psi(digits, order, t)
+            with mpmath.workdps(digits + 15):
+                err = abs(mpmath.mpf(res.value) - want)
+                if err > mpmath.mpf(res.est_error):
+                    failures.append(("est_error", order, t, float(err)))
+                near_zero = any(abs(t - z) < 0.5 for z in _ZEROS.get(order, ()))
+                if not near_zero and err > mpmath.mpf(10) ** (3 - digits) * abs(want):
+                    failures.append(("relative", order, t, float(err / abs(want))))
+    assert not failures, failures

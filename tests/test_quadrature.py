@@ -19,6 +19,7 @@ from cmlab import (
     laplace,
     quadrature,
     sin_kernel_integral,
+    verify_degree_representation,
 )
 
 EULER_GAMMA = "0.5772156649015328606065120900824024310421593359399235988057672348848677267776646709"
@@ -137,17 +138,26 @@ def test_bose_moment_odd_integers(s, exact):
     assert res.est_error < tol
 
 
-@pytest.mark.parametrize("s", ["2", "2.5", "0.5"])
-def test_bose_moment_general_s_vs_zeta(s):
+@pytest.mark.parametrize(
+    "s,digits",
+    [
+        pytest.param("2", 40, id="2"),
+        pytest.param("2.5", 40, id="2.5"),
+        pytest.param("0.5", 40, id="0.5"),
+        pytest.param("7.5", 40, id="7.5"),
+        pytest.param("2.5", 100, id="2.5-digits100"),
+    ],
+)
+def test_bose_moment_general_s_vs_zeta(s, digits):
     # int w^s/(e^{2 pi w}-1) dw = Gamma(s+1) zeta(s+1) / (2 pi)^{s+1}
-    digits = 40
     ctx = PrecisionContext(digits)
-    tol = ctx.mpf(10) ** (-30)
+    tol = ctx.mpf(10) ** (10 - digits)
     res = bose_moment(ctx, s, tol)
     with mpmath.workdps(digits + 15):
         sv = mpmath.mpf(s)
         oracle = mpmath.gamma(sv + 1) * mpmath.zeta(sv + 1) / (2 * mpmath.pi) ** (sv + 1)
     assert abs(res.value - ctx.mpf(oracle)) < 2 * tol
+    assert res.est_error < tol
 
 
 def test_bose_moment_domain():
@@ -177,6 +187,60 @@ def test_cos_kernel_integral_matches_K(n, v):
     sign = 1 if n % 2 == 1 else -1
     expected = sign * K_kernel(ctx, 2 * n - 1, v) / 2
     assert abs(res.value - expected) < ctx.mpf(10) ** (-20)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cos_kernel_integral_shared_weights_are_bit_identical(n):
+    # one weights dict across v below and above pi, repeated v and mixed
+    # tolerances: every result equals the one computed without the dict
+    ctx = PrecisionContext(25)
+    weights = {}
+    cases = [("0.5", -15), ("4", -15), ("2", -20), ("0.5", -12), ("3.1", -15), ("7.5", -12)]
+    cases += [("2", -15), ("4", -20), ("0.25", -20)]
+    for v, exp in cases:
+        tol = ctx.mpf(10) ** exp
+        shared = cos_kernel_integral(ctx, n, v, tol, _weights=weights)
+        plain = cos_kernel_integral(ctx, n, v, tol)
+        assert shared.value == plain.value
+        assert shared.est_error == plain.est_error
+        assert shared.evaluations == plain.evaluations
+    # the dict keeps the two factors, not their quotient, which would round
+    # differently from the unshared integrand
+    assert weights
+    for key, pair in weights.items():
+        w = ctx.mpf(key)
+        assert pair == (ctx.power(w, 2 * n - 1), ctx.expm1(2 * ctx.pi * w))
+
+
+def test_cos_kernel_integral_shares_no_weights_above_pi():
+    # above pi the panels are narrower than 1 and their nodes depend on v
+    ctx = PrecisionContext(25)
+    weights = {}
+    for v in ("4", "10", ctx.pi * (1 + ctx.mpf(10) ** (-20))):
+        cos_kernel_integral(ctx, 2, v, ctx.mpf(10) ** (-15), _weights=weights)
+    assert weights == {}
+    cos_kernel_integral(ctx, 2, ctx.pi, ctx.mpf(10) ** (-15), _weights=weights)
+    assert weights
+
+
+def test_degree_representation_shares_one_weights_dict(monkeypatch):
+    # the inner integrals of one check share one dict; the counts do not
+    # depend on the machine
+    calls = []
+    inner = quadrature.cos_kernel_integral
+
+    def recording(ctx, n, v, tol, budget=quadrature.DEFAULT_BUDGET, _weights=None):
+        res = inner(ctx, n, v, tol, budget, _weights=_weights)
+        calls.append((_weights, res.evaluations))
+        return res
+
+    monkeypatch.setattr(quadrature, "cos_kernel_integral", recording)
+    verify_degree_representation(PrecisionContext(30), 1, 10, 1e-15)
+    weights = calls[0][0]
+    assert all(w is weights for w, _ in calls)
+    assert len(calls) == 108
+    assert sum(evals for _, evals in calls) == 12834
+    assert len(weights) == 180
 
 
 def test_cos_kernel_integral_domain():
