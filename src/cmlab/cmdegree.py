@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import BracketError, DomainError
-from .gammakit import polygamma
 from .precision import GridSpec, PrecisionContext
 from .remainders import remainder_jet
 
@@ -298,27 +297,31 @@ def degree_estimate(
 # -- built-in families ------------------------------------------------
 
 
-def _lnminuspsi_deriv(ctx, j, t):
-    if j == 0:
-        return ctx.ln(t) - polygamma(ctx, 0, t).value
-    lead = ctx.mpf(math.factorial(j - 1)) * ctx.mpf(t) ** (-j)
-    if (j - 1) % 2 == 1:
-        lead = -lead
-    return lead - polygamma(ctx, j, t).value
+def _jet_family(name, eval_jet, max_order=12):
+    """The family of ``eval_jet``; ``eval_deriv`` is its one-order case."""
+    def eval_deriv(ctx, j, t):
+        return eval_jet(ctx, j, j, t)[0]
+
+    return FunctionFamily(name, eval_deriv, max_order=max_order, eval_jet=eval_jet)
+
+
+def _lnminuspsi_jet(ctx, j_lo, j_hi, t):
+    """ln t - psi(t) = 1/(2t) - R_0'(t): its j-th derivative is
+    (-1)^j j!/(2 t^(j+1)) - R_0^(j+1)(t), and (-1)^j times it is a sum of
+    two positive terms, as both parts are completely monotonic."""
+    t = ctx.mpf(t)
+    rs = remainder_jet(ctx, 0, j_lo + 1, j_hi + 1, t)
+    return [(-1) ** j * math.factorial(j) / (2 * t ** (j + 1)) - r for j, r in enumerate(rs, j_lo)]
 
 
 def _remainder_family(name, n, m, max_order=12):
     """The family (-1)^m R_n^(m), whose j-th derivative is (-1)^m R_n^(m+j)."""
-
     sign = -1 if m % 2 else 1
 
     def eval_jet(ctx, j_lo, j_hi, t):
         return [sign * v for v in remainder_jet(ctx, n, m + j_lo, m + j_hi, t)]
 
-    def eval_deriv(ctx, j, t):
-        return eval_jet(ctx, j, j, t)[0]
-
-    return FunctionFamily(name, eval_deriv, max_order=max_order, eval_jet=eval_jet)
+    return _jet_family(name, eval_jet, max_order)
 
 
 def builtin_families() -> dict:
@@ -329,7 +332,7 @@ def builtin_families() -> dict:
     are R_n and -R_n'.  All tend to 0 at infinity.
     """
     fams = {
-        "lnminuspsi": FunctionFamily("lnminuspsi", _lnminuspsi_deriv),
+        "lnminuspsi": _jet_family("lnminuspsi", _lnminuspsi_jet),
         "phi": _remainder_family("phi", 1, 1),
         "negR1prime": _remainder_family("negR1prime", 1, 1),
     }

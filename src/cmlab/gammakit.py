@@ -9,12 +9,13 @@ recurrences.  No gamma-family routine of the underlying arbitrary-
 precision library is called, so these values can serve as one side of an
 honest cross-check against quadrature.
 
-One routine, ``_expansion``, builds the Stirling expansion of ln Gamma
-(order -1) and psi^(m) (order m) for a whole range of orders at once: the
-leading terms plus the Bernoulli terms, summed to convergence at the
-shifted argument for ``ln_gamma``, ``polygamma`` and the remainder jets,
-or cut after n terms for the head the remainders subtract.  ``_jet`` adds
-the shift; ``ln_gamma`` and ``polygamma`` are its one-order cases.
+``_head`` builds the leading terms plus the first n Bernoulli terms of
+the Stirling expansions of ln Gamma (order -1) and psi^(m) (order m), in
+mpf, and ``_tail`` sums their Bernoulli terms from k0 on to convergence,
+in fixed point, each for a whole range of orders at once.  ``_jet`` is
+head (n = 0) plus tail (k0 = 1) at the shifted argument, less the shift
+sums; ``ln_gamma`` and ``polygamma`` are its one-order cases.  The
+remainder jets read the tail from k0 = n+1 directly.
 
 The two inner loops run on Python integers in fixed point, with every
 number a multiple of 2^-F:
@@ -26,27 +27,26 @@ number a multiple of 2^-F:
   F = prec + guard + (m_hi+2) log2 z keeps the relative error of every
   sum below 2^-(prec+guard).  The k = 0 term stays in mpf, since t may
   be 1e-300; the shift of ln Gamma is one ln of the product of the t+k;
-* the convergent series is a Horner sum in w = z^-2 < 1 of the
-  fixed-point coefficients floor(c_k 2^F) at F = prec + guard.  Each
+* ``_series`` sums c_k w^(k-k0) for k >= k0 by Horner in w < 1 with the
+  coefficients floor(c_k 2^F), F = prec + guard bits below |c_k0|.  Each
   step's floor and each coefficient's lose under one unit of 2^-F, and
   w < 1 only shrinks what earlier steps lost, so the sum is off by under
-  2K units, against a sum within a few percent of c_1 (|c_1| >= 1/12).
+  2K units, against a sum near c_k0.  ``_term_count`` takes K from float
+  logs of the exact coefficients: the first term with
+  |c_K/c_k0| w^(K-k0) <= 2^-(prec+guard), a stop relative to the value.
+  The truncation bound is that first omitted term.  Every series of the
+  package runs here: the Stirling tails in w = z^-2 (k0 = 1 for
+  psi^(m), k0 = n+1 for R_n) and the kernels' Taylor series of f_n^(l)
+  (k0 = n+1).  The head (n <= 30 terms at the unshifted t, where w may
+  exceed 1) stays in mpf.
 
-The term count K comes from float logarithms of the exact coefficients:
-the sum stops at the first term with |c_K/c_1| w^(K-1) <= 2^-(prec+guard),
-a stop relative to the first Bernoulli term and so to the value, and the
-truncation bound is that first omitted term, computed in mpf.  The head
-(n <= 30 terms at the unshifted t, where w may exceed 1) stays in mpf.
-
-``_term_count`` and ``_series`` serve every series of the package from a
-start index k0, stopping relative to term k0: k0 = 1 for the Stirling
-series, k0 = n+1 for the kernels' Taylor series of f_n^(l).  Each exact
-coefficient sequence has one table, keyed by the function that gives its
-k-th coefficient and that function's parameter: the ``Fraction`` values,
-their float log2 magnitudes and the integers floor(c_k 2^B), rebuilt at
-more bits when a call needs them.  Shifted right by B - F bits they give
-exactly floor(c_k 2^F), so values do not depend on which precisions ran
-before.  The tables only grow, under one lock, and are read without one.
+Each exact coefficient sequence has one table, keyed by the function that
+gives its k-th coefficient and that function's parameter: the
+``Fraction`` values, their float log2 magnitudes and the integers
+floor(c_k 2^B), rebuilt at more bits when a call needs them.  Shifted
+right by B - F bits they give exactly floor(c_k 2^F), so values do not
+depend on which precisions ran before.  The tables only grow, under one
+lock, and are read without one.
 """
 
 from __future__ import annotations
@@ -176,61 +176,65 @@ def _term_count(tab: _Coeffs, k0: int, log2_w: float, rel_bits: int) -> int:
         k += 1
 
 
-def _series(wctx: PrecisionContext, tab: _Coeffs, k0: int, w_fixed: int, bits: int, log2_w: float):
-    """sum_{k0<=k<K} c_k w^(k-k0) (w < 1) in fixed point at ``bits``, with K
-    from :func:`_term_count` at 2^-(prec+guard).  Returns (the sum, c_K, K),
-    both numbers as fixed-point integers, the sum off by under 2(K-k0) units."""
+def _series(wctx: PrecisionContext, tab: _Coeffs, k0: int, w, log2_w: float):
+    """sum_{k0<=k<K} c_k w^(k-k0) (w < 1) in fixed point, with K from
+    :func:`_term_count` at 2^-(prec+guard) and prec + guard bits below
+    |c_k0|, w too held to 2^-bits.  Returns (the sum, c_K, K), both numbers
+    in mpf, the sum off by under 2(K-k0) units of 2^-bits."""
     count = _term_count(tab, k0, log2_w, wctx.prec + _GUARD)
+    bits = wctx.prec + _GUARD - min(0, math.floor(tab.log2[k0 - 1]))
     coeffs = _fixed_coeffs(tab, k0, count, bits)
+    w_fixed = wctx.to_fixed(w, bits)
     acc = 0
     for c in reversed(coeffs[:-1]):
         acc = ((acc * w_fixed) >> bits) + c
-    return acc, coeffs[-1], count
+    return wctx.from_fixed(acc, bits), wctx.from_fixed(coeffs[-1], bits), count
 
 
-def _expansion(wctx: PrecisionContext, lo: int, hi: int, z, n=None):
-    """The Stirling expansions of ln Gamma (order -1) and psi^(order) at z
-    for every order lo..hi: their leading terms plus the first n Bernoulli
-    terms (in mpf), or all of them up to convergence (in fixed point) when
-    n is None.
-
-    Returns (values, truncation bounds), one entry per order.  A bound is
-    the first omitted term in magnitude, whichever sign the function's
-    series puts on it; with n given the bounds are None.
-    """
-    # zp[p] = z^-p, for the leading terms and the Bernoulli terms
-    top = max(hi + 2, 2 if n is None else 2 * n + hi)
-    zinv = 1 / z
-    zp = [wctx.mpf(1), zinv]
+def _zpowers(wctx: PrecisionContext, z, top: int):
+    """[z^0, z^-1, ..., z^-top], each one more multiplication by 1/z."""
+    zp = [wctx.mpf(1), 1 / z]
     for _ in range(top - 1):
-        zp.append(zp[-1] * zinv)
+        zp.append(zp[-1] * zp[1])
+    return zp
+
+
+def _head(wctx: PrecisionContext, lo: int, hi: int, z, n: int):
+    """The leading terms of the Stirling expansions of ln Gamma (order -1)
+    and psi^(order) at z plus their first n Bernoulli terms, in mpf, for
+    every order lo..hi."""
+    zp = _zpowers(wctx, z, max(hi + 1, 2 * n + hi))
     lnz = wctx.ln(z) if lo <= 0 else None
-    ln_sqrt_2pi = wctx.ln(2 * wctx.pi) / 2 if lo == -1 else None
     bits = wctx.prec + _GUARD
-    if n is None:
-        w_fixed = wctx.to_fixed(zp[2], bits)
-        log2_w = -2 * _log2(z)
-    values, truncs = [], []
+    values = []
     for order in range(lo, hi + 1):
-        tab = _table(_stirling, order)
-        if n is None:
-            acc, first_out, count = _series(wctx, tab, 1, w_fixed, bits, log2_w)
-            tail = wctx.from_fixed(acc, bits) * zp[order + 2]
-            truncs.append(abs(wctx.from_fixed(first_out, bits)) * zinv ** (2 * count + order))
-        else:
-            tail = wctx.mpf(0)
-            for k, c in enumerate(_fixed_coeffs(tab, 1, n, bits), 1):
-                tail += wctx.from_fixed(c, bits) * zp[2 * k + order]
-            truncs.append(None)
+        bern = wctx.mpf(0)
+        for k, c in enumerate(_fixed_coeffs(_table(_stirling, order), 1, n, bits), 1):
+            bern += wctx.from_fixed(c, bits) * zp[2 * k + order]
         if order == -1:
-            half = wctx.mpf(1) / 2
-            values.append((z - half) * lnz - z + ln_sqrt_2pi + tail)
+            values.append((z - 0.5) * lnz - z + wctx.ln(2 * wctx.pi) / 2 + bern)
         elif order == 0:
-            values.append(lnz - zp[1] / 2 - tail)
+            values.append(lnz - zp[1] / 2 - bern)
         else:
             fm1 = math.factorial(order - 1)
-            val = fm1 * zp[order] + fm1 * order * zp[order + 1] / 2 + tail
-            values.append(val if order % 2 else -val)
+            val = fm1 * zp[order] + fm1 * order * zp[order + 1] / 2
+            values.append(val + bern if order % 2 else -val - bern)
+    return values
+
+
+def _tail(wctx: PrecisionContext, lo: int, hi: int, z, k0: int):
+    """The Bernoulli terms k >= k0 of the Stirling expansions of ln Gamma
+    (order -1) and psi^(order) at z for every order lo..hi, summed and
+    signed as the function's series is.  Returns (values, truncation
+    bounds); a bound is the first omitted term in magnitude."""
+    zp = _zpowers(wctx, z, max(2, 2 * k0 + hi))
+    log2_w = -2 * _log2(z)
+    values, truncs = [], []
+    for order in range(lo, hi + 1):
+        acc, first_out, count = _series(wctx, _table(_stirling, order), k0, zp[2], log2_w)
+        tail = acc * zp[2 * k0 + order]
+        values.append(tail if order % 2 else -tail)
+        truncs.append(abs(first_out) * zp[1] ** (2 * count + order))
     return values, truncs
 
 
@@ -272,7 +276,9 @@ def _jet(wctx: PrecisionContext, lo: int, hi: int, t):
     tw = wctx.mpf(t)
     thr = _threshold(wctx.digits, hi)
     shift = 0 if tw >= thr else int(math.ceil(thr - float(tw)))
-    values, truncs = _expansion(wctx, lo, hi, tw + shift)
+    z = tw + shift
+    tails, truncs = _tail(wctx, lo, hi, z, 1)
+    values = [h + s for h, s in zip(_head(wctx, lo, hi, z, 0), tails)]
     if shift and hi >= 0:
         # psi^(m)(t) = psi^(m)(t+N) - (-1)^m m! sum_{k<N} (t+k)^(-m-1)
         first = max(lo, 0)

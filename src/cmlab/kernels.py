@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .combinatorics import bernoulli, stirling2
 from .errors import DomainError
-from .gammakit import _GUARD, _frac_coeffs, _log2, _series, _table
+from .gammakit import _frac_coeffs, _log2, _series, _table
 from .precision import GridSpec, PrecisionContext
 
 __all__ = [
@@ -90,15 +90,10 @@ def _f_deriv(ctx, n, ell, v):
 
 def _f_series(ctx, n, v, ell):
     """d^ell/dv^ell of f_n = (-1)^{n+1} v^{2n+1-ell} sum_{k>n} a_k^(ell)
-    w^{k-n-1} for ell <= 2n+1 and w = v^2 < 1/4, with prec + guard bits
-    below |a_{n+1}| (a_k shrinks like (2 pi)^-2k)."""
-    tab = _table(_taylor, ell)
-    k0 = n + 1
-    _frac_coeffs(tab, k0)
-    # w too is held to 2^-bits, so bits never drops below prec + guard
-    bits = ctx.prec + _GUARD - min(0, math.floor(tab.log2[k0 - 1]))
-    acc, _, _ = _series(ctx, tab, k0, ctx.to_fixed(v * v, bits), bits, 2 * _log2(v))
-    val = ctx.from_fixed(acc, bits) * v ** (2 * n + 1 - ell)
+    w^{k-n-1} for ell <= 2n+1 and w = v^2 < 1/4 (a_k shrinks like
+    (2 pi)^-2k)."""
+    acc, _, _ = _series(ctx, _table(_taylor, ell), n + 1, v * v, 2 * _log2(v))
+    val = acc * v ** (2 * n + 1 - ell)
     return val if n % 2 else -val
 
 
@@ -193,9 +188,9 @@ def remark1_chain(ctx: PrecisionContext, v) -> Remark1Chain:
     if not (ctx.isfinite(v0) and v0 > 0):
         raise DomainError("remark1_chain requires v > 0, got %s" % v0)
     extra = 10
-    fv = float(v0)
-    if fv < 1:
-        extra += int(6 * -math.log10(fv)) + 5
+    if v0 < 1:
+        # from v's binary exponent: float(v) underflows below 1e-308
+        extra += int(-6 * _log2(v0) * math.log10(2)) + 5
     wctx = ctx.boosted(extra)
     w = wctx.mpf(v0)
     ev = wctx.exp(w)

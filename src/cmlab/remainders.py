@@ -12,18 +12,17 @@ the second derivative R_n'', arbitrary-order derivatives for the degree
 machinery, the pointwise degree bound -t R_n''/R_n', and the power-scaled
 limits of R_n' at both ends of the axis.
 
-Each derivative is computed as its definition reads, A_n^(j) = G - head:
-G is ln Gamma (j = 0) or psi^(j-1), and head is the leading terms plus the
-first n Bernoulli terms of G's own Stirling expansion, from the gammakit
-routine that also sums that expansion for G.
-
 ``remainder_jet`` returns R_n^(j) for a whole range of orders j from one
-working context, one shift and one set of Stirling sums; every other
-evaluator here is one of its cases.  Large-t evaluation cancels
-catastrophically (the result is of size t^{-(2n+j+1)} while the
-ingredients are of size ln t or larger), so a jet runs under a precision
-boost proportional to (2n+j+2) log10 t for its highest order j, plus the
-10 + (j-1) digits a lone psi^(j-1) would get.
+working context and one set of Stirling sums; every other evaluator here
+is one of its cases.  With G = ln Gamma (j = 0) or psi^(j-1), R_n^(j) is
+(-1)^n times the Bernoulli terms k > n of G's Stirling expansion.  At or
+above G's shift threshold plus n those terms shrink from the first on,
+and the jet is gammakit's tail from k0 = n+1 at the 10 + (j-1) guard
+digits a lone psi^(j-1) gets: nothing cancels.  Below it the jet is
+G - head as the definition reads, head being G's leading terms plus its
+first n Bernoulli terms; that difference, of size t^-(2n+j+1) against
+ingredients of size ln t, runs under (2n+j+2) log10 t more digits, which
+the switch keeps bounded.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .gammakit import _expansion, _frac_coeffs, _jet, _log2, _stirling, _table
+from .gammakit import _frac_coeffs, _head, _jet, _stirling, _table, _tail, _threshold
 from .precision import PrecisionContext
 
 __all__ = [
@@ -65,15 +64,6 @@ def _check_t(ctx, t):
     return t0
 
 
-def _boost(n: int, j: int, t) -> int:
-    """Extra digits to absorb the large-t cancellation down to the
-    t^-(2n+j+1) tail; beyond the float range log10 t comes from t's
-    binary exponent."""
-    ft = float(t)
-    lt = _log2(t) * math.log10(2) if ft == math.inf else math.log10(ft) if ft > 1 else 0.0
-    return int(math.ceil((2 * n + j + 2) * lt)) + 15
-
-
 def remainder(ctx: PrecisionContext, n, t):
     """R_n(t) = (-1)^n A_n(t); strictly positive on (0, inf)."""
     return remainder_deriv(ctx, n, 0, t)
@@ -88,21 +78,27 @@ def _check_j(j) -> int:
 def remainder_jet(ctx: PrecisionContext, n, j_lo: int, j_hi: int, t):
     """[R_n^(j_lo)(t), ..., R_n^(j_hi)(t)] for 0 <= j_lo <= j_hi <= 16.
 
-    One working context, at the digits the hardest member j_hi needs, one
-    shift and one set of Stirling sums serve every order.
+    One working context, at the digits the hardest member j_hi needs, and
+    one set of Stirling sums serve every order.
     """
     n = _check_n(n)
     j_lo, j_hi = _check_j(j_lo), _check_j(j_hi)
     if j_lo > j_hi:
         raise DomainError("need j_lo <= j_hi, got %d > %d" % (j_lo, j_hi))
     t0 = _check_t(ctx, t)
-    wctx = ctx.boosted(_boost(n, j_hi, t0) + 10 + max(j_hi - 1, 0))
+    guard = 10 + max(j_hi - 1, 0)
+    sign = -1 if n % 2 else 1
+    if t0 >= _threshold(ctx.digits + guard, j_hi - 1) + n:
+        # the Bernoulli terms k > n shrink from the first on: nothing cancels
+        wctx = ctx.boosted(guard)
+        tails, _ = _tail(wctx, j_lo - 1, j_hi - 1, wctx.mpf(t0), n + 1)
+        return [ctx.mpf(sign * v) for v in tails]
+    # t is a float here; these digits absorb the cancellation
+    lt = math.log10(float(t0)) if t0 > 1 else 0.0
+    wctx = ctx.boosted(int(math.ceil((2 * n + j_hi + 2) * lt)) + 15 + guard)
     tw = wctx.mpf(t0)
     gs, _ = _jet(wctx, j_lo - 1, j_hi - 1, tw)
-    heads, _ = _expansion(wctx, j_lo - 1, j_hi - 1, tw, n)
-    if n % 2:
-        return [ctx.mpf(h - g) for g, h in zip(gs, heads)]
-    return [ctx.mpf(g - h) for g, h in zip(gs, heads)]
+    return [ctx.mpf(sign * (g - h)) for g, h in zip(gs, _head(wctx, j_lo - 1, j_hi - 1, tw, n))]
 
 
 def remainder_deriv(ctx: PrecisionContext, n, j: int, t):

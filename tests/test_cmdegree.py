@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from cmlab import (
@@ -102,6 +103,35 @@ def test_cm_check_lnminuspsi():
     # t^{alpha-1} leading behaviour near 0 breaks the first derivative
     assert res.order == 1
     assert res.t < 1
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_lnminuspsi_derivs_match_mpmath_oracle(digits):
+    # h = ln t - psi(t) and its derivatives h^(j), j <= 8, against mpmath's
+    # psi^(j) at enough extra digits to absorb ln t - psi(t) ~ 1/(2t):
+    # relative 10^-(digits-3) also at t = 1e12, where ln t - psi cancels
+    ctx = PrecisionContext(digits)
+    fam = builtin_families()["lnminuspsi"]
+    points = (1e-8, 0.5, 40, 1e6, 1e12)
+    want = {}
+    with mpmath.workdps(digits + 40):
+        for t in points:
+            tv = mpmath.mpf(t)
+            for j in range(9):
+                lead = mpmath.ln(tv) if j == 0 else (-1) ** (j - 1) * mpmath.factorial(j - 1) / tv**j
+                want[j, t] = lead - mpmath.polygamma(j, tv)
+
+    def off(got, j, t):
+        with mpmath.workdps(digits + 10):
+            return abs(mpmath.mpf(got) - want[j, t]) > mpmath.mpf(10) ** (3 - digits) * abs(want[j, t])
+
+    failures = [(j, t) for t in points for j in range(9) if off(fam.eval_deriv(ctx, j, t), j, t)]
+    assert not failures, failures
+    # the jet of orders 0..8 at once
+    for t in points:
+        jet = fam.eval_jet(ctx, 0, 8, t)
+        failures += [("jet", j, t) for j in range(9) if off(jet[j], j, t)]
+    assert not failures, failures
 
 
 def test_cm_check_cache_is_shared():

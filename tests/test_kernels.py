@@ -310,3 +310,14 @@ def test_remark1_chain_domain():
     ctx = PrecisionContext(30)
     with pytest.raises(DomainError):
         remark1_chain(ctx, 0)
+
+
+def test_remark1_chain_below_float_range():
+    # v = 1e-400 underflows a float; the boost comes from v's binary exponent
+    ctx = PrecisionContext(30)
+    chain = remark1_chain(ctx, "1e-400")
+    assert chain.expr5 > 0
+    for value in chain.vanishing:
+        assert abs(value) < ctx.mpf(10) ** (-15)
+    # expr5 -> 21 v^2 near zero
+    assert abs(chain.expr5 / (21 * ctx.mpf("1e-800")) - 1) < ctx.mpf(10) ** (-4)

@@ -12,6 +12,7 @@ from cmlab import (
     DomainError,
     PrecisionContext,
     bernoulli,
+    gammakit,
     ratio_bound,
     remainder,
     remainder_d1,
@@ -232,15 +233,19 @@ def _remainder_deriv_oracle(n, j, t, digits):
         return value if n % 2 == 0 else -value
 
 
-@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("digits", [15, 30, 60, 100])
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 30])
 def test_remainder_deriv_matches_mpmath_oracle(digits, n):
     # R_n^(j) = (-1)^n (G - head) against an oracle built independently
-    # from mpmath's gamma-family routines, across both tails of the axis
+    # from mpmath's gamma-family routines, across both tails of the axis and
+    # either side of the switch to the tail sum.  At 15 digits, n = 30 and
+    # j = 16 that switch is t = 72; a switch blind to n would sit at t = 42,
+    # and its tail stalls at t = 45
     ctx = PrecisionContext(digits)
     failures = []
     for j in (0, 1, 2, 5, 9, 16):
-        for t in (1e-8, 0.3, 5, 40, 1e4, 1e10):
+        switch = gammakit._threshold(digits + 10 + max(j - 1, 0), j - 1) + n
+        for t in (1e-8, 0.3, 5, 40, 45, switch - 0.5, switch, 1e4, 1e10, 1e100):
             want = _remainder_deriv_oracle(n, j, t, digits)
             got = remainder_deriv(ctx, n, j, t)
             with mpmath.workdps(digits + 10):
