@@ -22,16 +22,25 @@ keys (l, grid index), so that
 
     g^(j)(t) = t^(alpha-j) sum_i C(j,i) <alpha>_i H_(j-i)(t):
 
-the coefficients C(j,i) <alpha>_i are made once per alpha and t^(alpha-j)
-once per point and order, by one multiplication with 1/t.  A family with
-an ``eval_jet`` fills every order of a grid point from one call on its
-first miss there; any other family is asked for the missing order alone.
+the coefficients C(j,i) <alpha>_i are made once per alpha.  t^(alpha-j)
+is positive, so only the sign of the sum decides a pass.  A float sum
+settles most signs: with s and a the float sums of the terms and of their
+absolute values, (-1)^j s > 4(j+4) 2^-53 a proves the exact sum positive
+(four times Higham's gamma_(j+3) bound for a float dot product whose
+inputs were rounded), as long as a stays well inside the float range.
+Every other (j, t) pair takes the exact sum in the working precision, and
+only a negative one pays for t^(alpha-j): t^alpha times 1/t, j times over.
+
+A family with an ``eval_jet`` fills every order of a grid point from one
+call on its first miss there; any other family is asked for the missing
+order alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,6 +121,22 @@ class DegreeBracket:
         return self.passed_alpha <= x <= self.failed_alpha
 
 
+#: unit roundoff of a float, and the range in which the float filter of
+#: :func:`cm_check` trusts its sums and its inputs
+_U = 2.0**-53
+_TINY = 2.0**-900
+_HUGE = 2.0**900
+
+
+def _float_or_nan(x):
+    """float(x), or nan where x lies outside [2^-1000, 2^1000] and is not
+    0: there the float would carry an absolute, not a relative, error."""
+    f = float(x)
+    if 2.0**-1000 < abs(f) < 2.0**1000 or not x:
+        return f
+    return math.nan
+
+
 class _GridCache(dict):
     """A derivative cache that also holds its grid's points, built once."""
 
@@ -149,6 +174,12 @@ def cm_check(
     """Test (-1)^j [t^alpha h]^(j) >= -10^-(digits//2) for all j <= order
     on the grid.
 
+    A (j, t) pair whose float Leibniz sum is positive beyond its rounding
+    bound passes at once; any other pair is summed exactly with
+    ``ctx.dot``, and t^(alpha-j) is computed only where that sum has the
+    wrong sign.  The float sums read a per-call float copy of the cached
+    values, so verdicts and witnesses are those of the exact sums alone.
+
     ``_cache`` may be a dict shared between calls with the same context,
     family and grid; it memoizes the family's scaled derivative values
     t^l h^(l)(t), which dominate the cost when scanning many alphas.
@@ -177,17 +208,32 @@ def cm_check(
     for i in range(1, order + 1):
         fall.append(fall[-1] * (alpha0 - (i - 1)))
     coef = [[math.comb(j, i) * fall[i] for i in range(j + 1)] for j in range(order + 1)]
-    tpow = [ctx.power(t, alpha0) for t in pts]  # t^(alpha-j) at the current j
-    tinv = [1 / t for t in pts]
+    coef_f = [[_float_or_nan(c) for c in cj] for cj in coef]
+    shadow = [[] for _ in pts]  # shadow[idx][l] = float(H_l) at point idx
 
     for j in range(order + 1):
         negate = j % 2 == 1
         cj = coef[j]
+        cf = coef_f[j]
+        slack = 4 * (j + 4) * _U
         for idx, t in enumerate(pts):
-            if j:
-                tpow[idx] *= tinv[idx]
+            hf = shadow[idx]
+            hf.append(_float_or_nan(_scaled_deriv(ctx, family, cache, j, idx, pts, order)))
+            prods = list(map(operator.mul, cf, reversed(hf)))
+            s = sum(prods)
+            a = sum(map(abs, prods))
+            if (-s if negate else s) > slack * a and _TINY < a < _HUGE:
+                continue
             hs = [_scaled_deriv(ctx, family, cache, j - i, idx, pts, order) for i in range(j + 1)]
-            signed = ctx.dot(cj, hs) * tpow[idx]
+            dot = ctx.dot(cj, hs)
+            if (-dot if negate else dot) >= 0:
+                continue
+            # t^(alpha-j) as t^alpha times 1/t, j times over
+            tpow = ctx.power(t, alpha0)
+            tinv = 1 / t
+            for _ in range(j):
+                tpow *= tinv
+            signed = dot * tpow
             if negate:
                 signed = -signed
             if not signed >= -tol:
@@ -251,12 +297,16 @@ def degree_estimate(
     witness where there is one).  Without ``alpha_hi`` the failing end is
     the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
     ``resolution``: every alpha above the bound fails the j = 1 check.  The
-    returned bracket has width at most ``resolution``; a resolution below
-    the working precision's spacing near the ends is a :class:`DomainError`,
-    raised before any evaluation when both ends are given.
+    returned bracket has width at most ``resolution``.  A non-finite end
+    is a :class:`DomainError`, and so is a resolution below the working
+    precision's spacing near the ends, raised before any evaluation when
+    both ends are given.
     """
     lo = ctx.mpf(alpha_lo)
     hi = None if alpha_hi is None else ctx.mpf(alpha_hi)
+    for name, end in (("alpha_lo", lo), ("alpha_hi", hi)):
+        if end is not None and not ctx.isfinite(end):
+            raise DomainError("%s must be finite, got %s" % (name, end))
     res = ctx.mpf(resolution)
     if not res > 0:
         raise DomainError("resolution must be positive, got %s" % res)

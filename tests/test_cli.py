@@ -201,6 +201,16 @@ def test_degree_unreachable_resolution_exit_code(capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,name", [("--alpha-lo", "alpha_lo"), ("--alpha-hi", "alpha_hi")])
+def test_degree_infinite_end_is_a_domain_error(capsys, flag, name):
+    # named as a non-finite end, not as a resolution below the spacing
+    # of numbers near inf
+    assert main(["degree", "--fn", "phi", flag, "inf"]) == 3
+    err = capsys.readouterr().err
+    assert "%s must be finite" % name in err
+    assert "resolution" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

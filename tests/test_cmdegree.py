@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from cmlab import (
+    DEFAULT_GRID,
     BracketError,
     CMCheckResult,
     DomainError,
@@ -18,6 +19,7 @@ from cmlab import (
     degree_estimate,
     first_deriv_bound,
 )
+from cmlab.cmdegree import _scaled_deriv
 
 COARSE = GridSpec(1e-6, 1e3, 60)
 
@@ -353,3 +355,145 @@ def test_cm_check_result_is_truthy_wrapper():
     ok = CMCheckResult(True)
     bad = CMCheckResult(False, order=2, t=1.0, value=-0.1)
     assert ok and not bad
+
+
+def reference_cm_check(ctx, family, alpha, order, grid, cache):
+    """The all-mpf check: every (j, t) pair summed by ``ctx.dot`` and
+    weighted by t^(alpha-j), with t^alpha made for every point up front."""
+    alpha0 = ctx.mpf(alpha)
+    tol = ctx.mpf(10) ** (-(ctx.digits // 2))
+    pts = grid.points(ctx)
+    fall = [ctx.mpf(1)]
+    for i in range(1, order + 1):
+        fall.append(fall[-1] * (alpha0 - (i - 1)))
+    coef = [[math.comb(j, i) * fall[i] for i in range(j + 1)] for j in range(order + 1)]
+    tpow = [ctx.power(t, alpha0) for t in pts]
+    tinv = [1 / t for t in pts]
+    for j in range(order + 1):
+        for idx, t in enumerate(pts):
+            if j:
+                tpow[idx] *= tinv[idx]
+            hs = [_scaled_deriv(ctx, family, cache, j - i, idx, pts, order) for i in range(j + 1)]
+            signed = ctx.dot(coef[j], hs) * tpow[idx]
+            if j % 2:
+                signed = -signed
+            if not signed >= -tol:
+                return CMCheckResult(False, j, +t, signed)
+    return CMCheckResult(True)
+
+
+def verdict(res):
+    return (res.passed, res.order, res.t, res.value)
+
+
+# alphas on both sides of each degree on COARSE at order 8; the second and
+# third are the last passing and the first failing point of its bisection
+BOTH_SIDES = {
+    "phi": ("1", "1.96875", "2.015625", "2", "2.5"),
+    "negRprime:2": ("3", "3.8671875", "3.90625", "4.5"),
+    "negRprime:3": ("5", "5.76953125", "5.796875", "6.5"),
+    "lnminuspsi": ("0.5", "1", "1.03125", "1.5"),
+    "R:1": ("0.5", "1", "1.03125", "1.5"),
+}
+
+
+@pytest.mark.parametrize("jet", [True, False], ids=["jet", "per-order"])
+@pytest.mark.parametrize("name", sorted(BOTH_SIDES))
+def test_cm_check_verdicts_match_all_mpf_reference(name, jet):
+    # the float filter only skips pairs whose exact sum is positive, so
+    # every verdict and witness is the all-mpf loop's, bit for bit
+    ctx = PrecisionContext(30)
+    fam = builtin_families()[name]
+    if not jet:
+        fam = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
+    cache, ref_cache = {}, {}
+    seen = set()
+    for alpha in BOTH_SIDES[name]:
+        got = cm_check(ctx, fam, alpha, order=8, grid=COARSE, _cache=cache)
+        want = reference_cm_check(ctx, fam, alpha, 8, COARSE, ref_cache)
+        assert verdict(got) == verdict(want), alpha
+        seen.add(got.passed)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("alpha", ["1.9", "2.1"])
+def test_cm_check_matches_reference_beyond_float_range(alpha):
+    # H_l reaches about 1e600 at t = 1e-300: no float holds it, so those
+    # pairs take the exact sum
+    ctx = PrecisionContext(30)
+    grid = GridSpec(1e-300, 1e300, 40)
+    fam = builtin_families()["phi"]
+    got = cm_check(ctx, fam, alpha, order=4, grid=grid)
+    want = reference_cm_check(ctx, fam, alpha, 4, grid, {})
+    assert verdict(got) == verdict(want)
+
+
+def test_cm_check_matches_reference_on_cancelling_sums():
+    # h = t^-2 at alpha = 2: g = 1, so every sum of order j >= 1 is a
+    # cancellation down to rounding, which the float filter cannot sign
+    def eval_deriv(ctx, j, t):
+        return (-1) ** j * math.factorial(j + 1) * ctx.mpf(t) ** (-j - 2)
+
+    ctx = PrecisionContext(30)
+    fam = FunctionFamily("inverse-square", eval_deriv)
+    got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
+    want = reference_cm_check(ctx, fam, 2, 8, COARSE, {})
+    assert verdict(got) == verdict(want)
+
+
+@pytest.mark.parametrize("beta", ["0.7", "1.7", "2.3", "4.3"])
+def test_cm_check_matches_reference_below_float_resolution(beta):
+    # h = t^-beta at alpha = beta + 1e-18: g = t^(1e-18) fails the j = 1
+    # check by about 1e-18/t, a relative 1e-18 of the sum's terms, so
+    # the float sums are rounding noise of either sign
+    def eval_deriv(ctx, j, t):
+        b = ctx.mpf(beta)
+        return math.prod(-(b + i) for i in range(j)) * ctx.power(t, -b - j)
+
+    ctx = PrecisionContext(30)
+    fam = FunctionFamily("power", eval_deriv)
+    alpha = ctx.mpf(beta) + ctx.mpf("1e-18")
+    got = cm_check(ctx, fam, alpha, order=4, grid=COARSE)
+    want = reference_cm_check(ctx, fam, alpha, 4, COARSE, {})
+    assert not want.passed
+    assert verdict(got) == verdict(want)
+
+
+def test_cm_check_clear_pass_needs_no_power_and_few_dots(monkeypatch):
+    calls = {"dot": 0, "power": 0}
+    dot, power = PrecisionContext.dot, PrecisionContext.power
+
+    def counted_dot(self, xs, ys):
+        calls["dot"] += 1
+        return dot(self, xs, ys)
+
+    def counted_power(self, x, a):
+        calls["power"] += 1
+        return power(self, x, a)
+
+    monkeypatch.setattr(PrecisionContext, "dot", counted_dot)
+    monkeypatch.setattr(PrecisionContext, "power", counted_power)
+    ctx = PrecisionContext(30)
+    assert cm_check(ctx, builtin_families()["phi"], 1, order=8, grid=COARSE).passed
+    pairs = 9 * COARSE.count
+    assert calls["power"] == 0
+    assert calls["dot"] < 0.05 * pairs
+
+
+@pytest.mark.parametrize(
+    "name,ends,bracket,bound",
+    [
+        ("phi", (1, 3), ("2.0", "2.03125"), "2.000000000599999995092328"),
+        ("negRprime:2", (0, None), ("3.8671875", "3.90625"), "4.000000000000000000200000"),
+    ],
+    ids=["phi", "negRprime:2"],
+)
+def test_degree_bisect_brackets_are_pinned(name, ends, bracket, bound):
+    # the brackets of the degree-bisect benchmark, at 30 digits on the
+    # default grid, order 8, resolution 0.05
+    ctx = PrecisionContext(30)
+    b = degree_estimate(
+        ctx, builtin_families()[name], *ends, resolution=0.05, order=8, grid=DEFAULT_GRID
+    )
+    assert (b.passed_alpha, b.failed_alpha) == tuple(ctx.mpf(x) for x in bracket)
+    assert mpmath.nstr(b.first_deriv_bound, 25, strip_zeros=False) == bound
