@@ -37,6 +37,8 @@ _EVAL_HEADS = ("lngamma", "psi", "phi", "polygamma", "R", "R1", "R2", "f", "K")
 _KERNEL_HEADS = ("f", "K")
 # verify record fields that hold numbers
 _NUMBER_FIELDS = ("max_deviation", "tolerance", "value")
+# options whose value may start with "-", as -inf, -1e-3 or -1:2:3 do
+_VALUE_OPTIONS = ("--t", "--alpha-lo", "--alpha-hi", "--resolution", "--grid")
 
 
 class UsageError(Exception):
@@ -293,10 +295,24 @@ def _build_parser():
     return parser
 
 
+def _attach_dash_values(argv):
+    """Join a token that starts with one "-" to the value-taking option
+    before it, as ``--opt=value``: argparse reads -inf or -1e-3 there as
+    an unknown option, since only a plain number is let through."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,17 @@
 """Exact integer/rational sequences: Bernoulli numbers, Stirling numbers of
 the second kind, falling factorials, and zeta at even integers.
 
-Everything here is exact arithmetic over ``fractions.Fraction``; floating
-values are produced only by the caller converting through a
-:class:`~cmlab.precision.PrecisionContext`.  The Bernoulli cache only
-grows, and it grows under a lock, so concurrent callers at worst wait for
-one another's work; a value already cached is read without the lock.
+Everything here is exact arithmetic over integers and ``fractions.Fraction``;
+floating values are produced only by the caller converting through a
+:class:`~cmlab.precision.PrecisionContext`.
+
+The Bernoulli numbers come from integer tangent numbers (Brent and Harvey,
+"Fast computation of Bernoulli, Tangent and Secant numbers", 2013): O(N^2)
+multiply-adds of integers for B_0..B_2N, and one ``Fraction`` per even
+index.  Their cache only grows, at least doubling on a miss, so all its
+refills from scratch cost at most 4/3 of the last one.  It grows under a
+lock, so concurrent callers at worst wait for one another's work; a value
+already cached is read without the lock.
 
 Conventions:
 
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import DomainError
 
@@ -30,25 +36,55 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_FILL = threading.Lock()
 
 
+def _tangent_numbers(count: int) -> list[int]:
+    """[0, T_1, ..., T_count], where tan z = sum_k T_k z^(2k-1)/(2k-1)!,
+    by Brent and Harvey's in-place recurrence on integers."""
+    t = [0, 1]
+    for k in range(2, count + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli_from(start: int, stop: int) -> list[Fraction]:
+    """B_start..B_stop for start >= 1, with
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = _tangent_numbers(stop // 2)
+    out = []
+    for n in range(start, stop + 1):
+        if n == 1:
+            out.append(Fraction(-1, 2))
+        elif n % 2:
+            out.append(Fraction(0))
+        else:
+            k = n // 2
+            four_k = 1 << n
+            num = n * t[k]
+            out.append(Fraction(num if k % 2 else -num, four_k * (four_k - 1)))
+    return out
+
+
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n.
 
-    Uses the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 (with
-    B_0 = 1), which follows from multiplying the generating function by
-    (e^z - 1) and matching coefficients.  Results are memoized; the
-    recurrence is O(n^2) rational operations to fill the cache.
+    The even ones come from the tangent numbers T_k, B_2k =
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), which Brent and Harvey's
+    recurrence gives in O(N^2) integer multiply-adds for k <= N; B_1 = -1/2
+    and the other odd ones are 0.  On a miss the cache is refilled from
+    scratch up to max(n, 2 len), and the new entries go into it with one
+    ``extend`` under ``_BERNOULLI_FILL``, so a reader that takes no lock
+    never finds a partial entry.
     """
     n = int(n)
     if n < 0:
         raise DomainError("bernoulli requires n >= 0, got %d" % n)
     if len(_BERNOULLI) <= n:
         with _BERNOULLI_FILL:
-            while len(_BERNOULLI) <= n:
-                m = len(_BERNOULLI)  # next index to fill
-                acc = Fraction(0)
-                for k in range(m):
-                    acc += comb(m + 1, k) * _BERNOULLI[k]
-                _BERNOULLI.append(-acc / (m + 1))
+            have = len(_BERNOULLI)
+            if have <= n:
+                _BERNOULLI.extend(_bernoulli_from(have, max(n, 2 * have)))
     return _BERNOULLI[n]
 
 
@@ -57,7 +93,7 @@ def stirling2(k: int, p: int) -> Fraction:
 
     Computed from the explicit alternating sum
     S(k,p) = (1/p!) sum_{q=1}^{p} (-1)^{p-q} C(p,q) q^k,
-    which is exact in integer arithmetic (the division by p! is exact).
+    in integers, with one exact division by p!.
     The value is integer-valued but returned as a Fraction for uniformity
     with the other exact sequences.
     """
@@ -71,12 +107,10 @@ def stirling2(k: int, p: int) -> Fraction:
     for q in range(1, p + 1):
         term = comb(p, q) * q**k
         total += term if (p - q) % 2 == 0 else -term
-    result = Fraction(total)
-    for d in range(2, p + 1):  # divide by p! factor by factor, exactly
-        result /= d
-    if result.denominator != 1:
+    result, rest = divmod(total, factorial(p))
+    if rest:
         raise AssertionError("S(%d,%d) did not reduce to an integer" % (k, p))
-    return result
+    return Fraction(result)
 
 
 def falling(alpha, n: int):

@@ -114,7 +114,12 @@ def _table(coeff, param) -> _Coeffs:
 def _stirling(order: int, k: int) -> Fraction:
     """B_2k (2k+order-1)!/(2k)!, the k-th Bernoulli coefficient of ln Gamma
     (order -1: B_2k/((2k)(2k-1))), psi (order 0: B_2k/(2k)) or psi^(order)."""
-    return bernoulli(2 * k) * Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
+    b = bernoulli(2 * k)
+    if order == -1:
+        return b / (2 * k * (2 * k - 1))
+    if order == 0:
+        return b / (2 * k)
+    return b * math.perm(2 * k + order - 1, order - 1)
 
 
 def _frac_coeffs(tab: _Coeffs, upto: int):

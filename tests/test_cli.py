@@ -91,6 +91,23 @@ def test_eval_domain_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "psi", "--t", "-1e-3"],
+        ["eval", "--fn", "psi", "--grid", "-1:2:3"],
+        ["degree", "--fn", "phi", "--resolution", "-1e-2"],
+        ["degree", "--fn", "phi", "--grid", "-1e-3:1:10"],
+    ],
+    ids=["eval-t", "eval-grid", "degree-resolution", "degree-grid"],
+)
+def test_dash_values_reach_the_domain_check(capsys, argv):
+    # argparse alone reads -1e-3 or -1:2:3 after an option as an unknown
+    # option and exits 2 with "expected one argument"
+    assert main(argv) == 3
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_argparse_paths(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -204,11 +221,13 @@ def test_degree_unreachable_resolution_exit_code(capsys):
 @pytest.mark.parametrize("flag,name", [("--alpha-lo", "alpha_lo"), ("--alpha-hi", "alpha_hi")])
 def test_degree_infinite_end_is_a_domain_error(capsys, flag, name):
     # named as a non-finite end, not as a resolution below the spacing
-    # of numbers near inf
-    assert main(["degree", "--fn", "phi", flag, "inf"]) == 3
-    err = capsys.readouterr().err
-    assert "%s must be finite" % name in err
-    assert "resolution" not in err
+    # of numbers near inf; -inf is passed as the option's value, not read
+    # as an option of its own
+    for value in ("inf", "-inf"):
+        assert main(["degree", "--fn", "phi", flag, value]) == 3
+        err = capsys.readouterr().err
+        assert "%s must be finite" % name in err
+        assert "resolution" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exact combinatorial ingredients, checked against independent recurrences."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,6 +18,15 @@ def akiyama_tanigawa(n):
     return -row[0] if n == 1 else row[0]
 
 
+def recurrence_bernoulli(upto):
+    """B_0..B_upto by sum_{k<=n} C(n+1, k) B_k = 0, in Fractions: an
+    independent route to every index, odd ones included."""
+    table = [Fraction(1)]
+    for m in range(1, upto + 1):
+        table.append(-sum(comb(m + 1, k) * b for k, b in enumerate(table)) / (m + 1))
+    return table
+
+
 def stirling_triangle(rows):
     """S(n, k) by the standard triangular recurrence."""
     tri = {(0, 0): 1}
@@ -29,6 +39,11 @@ def stirling_triangle(rows):
 @pytest.mark.parametrize("n", list(range(0, 42)))
 def test_bernoulli_matches_akiyama_tanigawa(n):
     assert bernoulli(n) == akiyama_tanigawa(n)
+
+
+def test_bernoulli_matches_recurrence_to_300():
+    assert [bernoulli(n) for n in range(301)] == recurrence_bernoulli(300)
+    assert all(type(bernoulli(n)) is Fraction for n in range(301))
 
 
 def test_bernoulli_known_values():

@@ -34,7 +34,10 @@ THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, KERNEL_DIGITS = %d, %d, range(%d, %d
 
 
 def bernoulli_fill():
-    bernoulli(MAX_BERNOULLI)
+    # every n in turn: threads read while others grow the list, across
+    # several doublings of its length
+    for n in range(MAX_BERNOULLI + 1):
+        bernoulli(n)
 
 
 def polygamma_sweep():

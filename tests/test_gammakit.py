@@ -4,6 +4,7 @@ mpmath's gamma machinery is used here as an independent oracle only; the
 package itself computes everything from shifted asymptotic series.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from cmlab import (
     DomainError,
     PrecisionContext,
+    bernoulli,
     gammakit,
     ln_gamma,
     polygamma,
@@ -120,6 +122,17 @@ def test_polygamma_relative_accuracy_at_large_t():
     with mpmath.workdps(60):
         want = mpmath.polygamma(12, mpmath.mpf(1e5))
         assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(10) ** (-17) * abs(want)
+
+
+def test_stirling_coefficients_match_definition():
+    # B_2k (2k+order-1)!/(2k)!, as a Fraction of factorials, for ln Gamma
+    # (order -1), psi (order 0) and psi^(order)
+    for order in range(-1, 17):
+        for k in range(1, 81):
+            want = bernoulli(2 * k) * Fraction(
+                math.factorial(2 * k + order - 1), math.factorial(2 * k)
+            )
+            assert gammakit._stirling(order, k) == want, (order, k)
 
 
 @pytest.mark.parametrize("digits", [30, 60])
