@@ -8,10 +8,11 @@ floating values are produced only by the caller converting through a
 The Bernoulli numbers come from integer tangent numbers (Brent and Harvey,
 "Fast computation of Bernoulli, Tangent and Secant numbers", 2013): O(N^2)
 multiply-adds of integers for B_0..B_2N, and one ``Fraction`` per even
-index.  Their cache only grows, at least doubling on a miss, so all its
-refills from scratch cost at most 4/3 of the last one.  It grows under a
-lock, so concurrent callers at worst wait for one another's work; a value
-already cached is read without the lock.
+index.  The recurrence keeps its state between calls, so a miss extends
+the cache to exactly the index asked for, with no refill from scratch
+and no entry beyond it.  It grows under a lock, so concurrent callers at
+worst wait for one another's work; a value already cached is read without
+the lock.
 
 Conventions:
 
@@ -33,24 +34,36 @@ __all__ = ["bernoulli", "stirling2", "falling", "zeta_even"]
 
 # B_0, B_1, ... computed so far (exact, lowest terms by Fraction's invariant)
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+# the state of the tangent-number recurrence at the largest T_N made so
+# far: entry N after each of its passes k = 1..N, the last being T_N
+_COLUMN: list[int] = []
 _BERNOULLI_FILL = threading.Lock()
 
 
 def _tangent_numbers(count: int) -> list[int]:
-    """[0, T_1, ..., T_count], where tan z = sum_k T_k z^(2k-1)/(2k-1)!,
-    by Brent and Harvey's in-place recurrence on integers."""
-    t = [0, 1]
-    for k in range(2, count + 1):
-        t.append((k - 1) * t[k - 1])
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
+    """[T_N+1, ..., T_count] after the T_N last made, where
+    tan z = sum_k T_k z^(2k-1)/(2k-1)!, by Brent and Harvey's recurrence
+    run one entry at a time.  Their pass k sets
+    T_j = (j-k) T_j-1 + (j-k+2) T_j for j = k..N, after T_j = (j-1)!
+    (pass 1); entry j needs only entry j-1 after each pass, which
+    ``_COLUMN`` keeps, so the recurrence resumes without starting over."""
+    col = _COLUMN
+    out = []
+    for j in range(len(col) + 1, count + 1):
+        new = [(j - 1) * col[0] if col else 1]
+        for k in range(2, j):
+            new.append((j - k) * col[k - 1] + (j - k + 2) * new[-1])
+        if j > 1:
+            new.append(2 * new[-1])
+        col[:] = new
+        out.append(new[-1])
+    return out
 
 
 def _bernoulli_from(start: int, stop: int) -> list[Fraction]:
-    """B_start..B_stop for start >= 1, with
+    """B_start..B_stop for start >= 1 just past the cache, with
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    first = len(_COLUMN) + 1
     t = _tangent_numbers(stop // 2)
     out = []
     for n in range(start, stop + 1):
@@ -61,7 +74,7 @@ def _bernoulli_from(start: int, stop: int) -> list[Fraction]:
         else:
             k = n // 2
             four_k = 1 << n
-            num = n * t[k]
+            num = n * t[k - first]
             out.append(Fraction(num if k % 2 else -num, four_k * (four_k - 1)))
     return out
 
@@ -72,8 +85,10 @@ def bernoulli(n: int) -> Fraction:
     The even ones come from the tangent numbers T_k, B_2k =
     (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), which Brent and Harvey's
     recurrence gives in O(N^2) integer multiply-adds for k <= N; B_1 = -1/2
-    and the other odd ones are 0.  On a miss the cache is refilled from
-    scratch up to max(n, 2 len), and the new entries go into it with one
+    and the other odd ones are 0.  A miss extends the cache to exactly
+    B_n: the recurrence resumes from its saved state, so a caller that
+    asks for one n at a time pays the same O(N^2) in all as one that asks
+    for B_N at once.  The new entries go into the cache with one
     ``extend`` under ``_BERNOULLI_FILL``, so a reader that takes no lock
     never finds a partial entry.
     """
@@ -84,7 +99,7 @@ def bernoulli(n: int) -> Fraction:
         with _BERNOULLI_FILL:
             have = len(_BERNOULLI)
             if have <= n:
-                _BERNOULLI.extend(_bernoulli_from(have, max(n, 2 * have)))
+                _BERNOULLI.extend(_bernoulli_from(have, n))
     return _BERNOULLI[n]
 
 

@@ -9,36 +9,51 @@ recurrences.  No gamma-family routine of the underlying arbitrary-
 precision library is called, so these values can serve as one side of an
 honest cross-check against quadrature.
 
-``_head`` builds the leading terms plus the first n Bernoulli terms of
-the Stirling expansions of ln Gamma (order -1) and psi^(m) (order m), in
-mpf, and ``_tail`` sums their Bernoulli terms from k0 on to convergence,
-in fixed point, each for a whole range of orders at once.  ``_jet`` is
-head (n = 0) plus tail (k0 = 1) at the shifted argument, less the shift
-sums; ``ln_gamma`` and ``polygamma`` are its one-order cases.  The
-remainder jets read the tail from k0 = n+1 directly.
+``_jet1p`` sums ln Gamma(1+t) (order -1) and psi^(m)(1+t) for a whole
+range of orders at once: with z = t + N (N >= 1, z past the threshold),
 
-The two inner loops run on Python integers in fixed point, with every
-number a multiple of 2^-F:
+    psi^(m)(1+t) = [leading terms + Bernoulli tail at z]
+                   - (-1)^m m! sum_{0<k<N} (t+k)^-(m+1),
 
+and likewise ln Gamma(1+t) = ln Gamma(z) - ln prod_{0<k<N} (t+k).
+``_jet`` is that plus the k = 0 term, (-1)^(m+1) m! t^-(m+1) or -ln t,
+in mpf since t may be 1e-300; ``ln_gamma`` and ``polygamma`` are its
+one-order cases.  Below their switch the remainder jets take
+``_jet1p`` too and add an exact Laurent polynomial in 1/t
+(``remainders``); above it they read ``_tail``, the Bernoulli terms from
+k0 = n+1 on, directly.  So there is one route to psi^(m), not one per
+caller.
+
+``_jet1p`` runs in one fixed-point frame: every number is a multiple of
+2^-F with F = prec + guard + (m_hi+2) log2 z, so that z^-(m_hi+2), the
+smallest part any order needs, still has prec + guard bits.
+
+* 1/(t+k) for 0 < k <= N takes one integer division each, and z^-e
+  repeated multiplications by the last of them;
 * the shift sums sum_{0<k<N} (t+k)^-(m+1), for every order m of the
-  range, take one integer division per k for 1/(t+k) and one multiply
-  and shift per order.  Each term is at most 1 and at least z^-(m+1)
-  (z = t + N), and each floor loses under one unit of 2^-F, so
-  F = prec + guard + (m_hi+2) log2 z keeps the relative error of every
-  sum below 2^-(prec+guard).  The k = 0 term stays in mpf, since t may
-  be 1e-300; the shift of ln Gamma is one ln of the product of the t+k;
-* ``_series`` sums c_k w^(k-k0) for k >= k0 by Horner in w < 1 with the
-  coefficients floor(c_k 2^F), F = prec + guard bits below |c_k0|.  Each
-  step's floor and each coefficient's lose under one unit of 2^-F, and
-  w < 1 only shrinks what earlier steps lost, so the sum is off by under
-  2K units, against a sum near c_k0.  ``_term_count`` takes K from float
-  logs of the exact coefficients: the first term with
-  |c_K/c_k0| w^(K-k0) <= 2^-(prec+guard), a stop relative to the value.
-  The truncation bound is that first omitted term.  Every series of the
-  package runs here: the Stirling tails in w = z^-2 (k0 = 1 for
-  psi^(m), k0 = n+1 for R_n) and the kernels' Taylor series of f_n^(l)
-  (k0 = n+1).  The head (n <= 30 terms at the unshifted t, where w may
-  exceed 1) stays in mpf.
+  range, take one multiply and shift per term and order.  Each term is
+  at most 1 and at least z^-(m+1), and each floor loses under one unit of
+  2^-F, so every sum is off by under 2^-(prec+guard) relative;
+* the Bernoulli tail is a Horner sum of c_k w^(k-1) in w = z^-2, with
+  the coefficients floor(c_k 2^F), times z^-(m+2).  Each step's floor
+  and each coefficient's lose under one unit, and w < 1 only shrinks what
+  earlier steps lost.
+
+For m >= 1 the leading terms (m-1)! z^-m + (m!/2) z^-(m+1), the tail and
+the shift sums all carry the sign of psi^(m), so nothing cancels and
+each order costs one conversion out of fixed point.  For order 0,
+psi(1+t) = ln z - [1/(2z) + tail + shift sums], and for order -1 the
+terms (z - 1/2) ln z - z + ln(2 pi)/2 and the ln of the product stay in
+mpf; only those logarithms are not fixed point.
+
+``_term_count`` takes the number of terms K from float logs of the exact
+coefficients: the first term with |c_K/c_k0| w^(K-k0) <= 2^-(prec+guard),
+a stop relative to the series' first term.  |c_K/c_1| grows with the
+order, so one count, the top order's, serves every order of a jet.  The
+truncation bound is the first omitted term.  ``_series`` sums the same
+Horner loop at prec + guard bits below |c_k0| and serves the remainders'
+tails above the switch (w = z^-2, k0 = n+1) and the kernels' Taylor
+series of f_n^(l) (k0 = n+1).
 
 Each exact coefficient sequence has one table, keyed by the function that
 gives its k-th coefficient and that function's parameter: the
@@ -171,7 +186,8 @@ def _term_count(tab: _Coeffs, k0: int, log2_w: float, rel_bits: int) -> int:
     k = k0  # 0-based index of term k0+1
     while True:
         if len(logs) <= k:
-            _frac_coeffs(tab, 2 * k)
+            # one entry at a time: the table ends at the last term read
+            _frac_coeffs(tab, k + 1)
         rel = logs[k] - logs[k0 - 1] + (k + 1 - k0) * log2_w  # term k+1 over term k0
         if rel <= -rel_bits:
             return k + 1
@@ -181,66 +197,39 @@ def _term_count(tab: _Coeffs, k0: int, log2_w: float, rel_bits: int) -> int:
         k += 1
 
 
+def _horner(coeffs, w: int, bits: int) -> int:
+    """sum_i coeffs[i] w^i over all but the last coefficient, every number
+    a fixed-point integer at ``bits``; off by under one unit per term."""
+    acc = 0
+    for c in reversed(coeffs[:-1]):
+        acc = ((acc * w) >> bits) + c
+    return acc
+
+
 def _series(wctx: PrecisionContext, tab: _Coeffs, k0: int, w, log2_w: float):
     """sum_{k0<=k<K} c_k w^(k-k0) (w < 1) in fixed point, with K from
     :func:`_term_count` at 2^-(prec+guard) and prec + guard bits below
-    |c_k0|, w too held to 2^-bits.  Returns (the sum, c_K, K), both numbers
-    in mpf, the sum off by under 2(K-k0) units of 2^-bits."""
+    |c_k0|, w too held to 2^-bits.  Returns the sum in mpf, off by under
+    2(K-k0) units of 2^-bits."""
     count = _term_count(tab, k0, log2_w, wctx.prec + _GUARD)
     bits = wctx.prec + _GUARD - min(0, math.floor(tab.log2[k0 - 1]))
     coeffs = _fixed_coeffs(tab, k0, count, bits)
-    w_fixed = wctx.to_fixed(w, bits)
-    acc = 0
-    for c in reversed(coeffs[:-1]):
-        acc = ((acc * w_fixed) >> bits) + c
-    return wctx.from_fixed(acc, bits), wctx.from_fixed(coeffs[-1], bits), count
-
-
-def _zpowers(wctx: PrecisionContext, z, top: int):
-    """[z^0, z^-1, ..., z^-top], each one more multiplication by 1/z."""
-    zp = [wctx.mpf(1), 1 / z]
-    for _ in range(top - 1):
-        zp.append(zp[-1] * zp[1])
-    return zp
-
-
-def _head(wctx: PrecisionContext, lo: int, hi: int, z, n: int):
-    """The leading terms of the Stirling expansions of ln Gamma (order -1)
-    and psi^(order) at z plus their first n Bernoulli terms, in mpf, for
-    every order lo..hi."""
-    zp = _zpowers(wctx, z, max(hi + 1, 2 * n + hi))
-    lnz = wctx.ln(z) if lo <= 0 else None
-    bits = wctx.prec + _GUARD
-    values = []
-    for order in range(lo, hi + 1):
-        bern = wctx.mpf(0)
-        for k, c in enumerate(_fixed_coeffs(_table(_stirling, order), 1, n, bits), 1):
-            bern += wctx.from_fixed(c, bits) * zp[2 * k + order]
-        if order == -1:
-            values.append((z - 0.5) * lnz - z + wctx.ln(2 * wctx.pi) / 2 + bern)
-        elif order == 0:
-            values.append(lnz - zp[1] / 2 - bern)
-        else:
-            fm1 = math.factorial(order - 1)
-            val = fm1 * zp[order] + fm1 * order * zp[order + 1] / 2
-            values.append(val + bern if order % 2 else -val - bern)
-    return values
+    return wctx.from_fixed(_horner(coeffs, wctx.to_fixed(w, bits), bits), bits)
 
 
 def _tail(wctx: PrecisionContext, lo: int, hi: int, z, k0: int):
     """The Bernoulli terms k >= k0 of the Stirling expansions of ln Gamma
     (order -1) and psi^(order) at z for every order lo..hi, summed and
-    signed as the function's series is.  Returns (values, truncation
-    bounds); a bound is the first omitted term in magnitude."""
-    zp = _zpowers(wctx, z, max(2, 2 * k0 + hi))
+    signed as the function's series is."""
+    zp = [wctx.mpf(1), 1 / z]
+    for _ in range(max(1, 2 * k0 + hi - 1)):
+        zp.append(zp[-1] * zp[1])
     log2_w = -2 * _log2(z)
-    values, truncs = [], []
+    values = []
     for order in range(lo, hi + 1):
-        acc, first_out, count = _series(wctx, _table(_stirling, order), k0, zp[2], log2_w)
-        tail = acc * zp[2 * k0 + order]
+        tail = _series(wctx, _table(_stirling, order), k0, zp[2], log2_w) * zp[2 * k0 + order]
         values.append(tail if order % 2 else -tail)
-        truncs.append(abs(first_out) * zp[1] ** (2 * count + order))
-    return values, truncs
+    return values
 
 
 def _threshold(wp: int, order: int) -> int:
@@ -250,52 +239,82 @@ def _threshold(wp: int, order: int) -> int:
     return int(0.45 * wp) + 9 + max(order, 0)
 
 
-def _shift_sums(wctx: PrecisionContext, t, count: int, lo: int, hi: int):
-    """sum_{k<count} (t+k)^-(m+1) for m = lo..hi (lo >= 0, count >= 1):
-    the k = 0 term in mpf, the others in fixed point."""
-    inv = 1 / t
-    p = inv ** (lo + 1)
-    sums = []
-    for _ in range(lo, hi + 1):
-        sums.append(p)
-        p *= inv
-    if count == 1:
-        return sums
-    bits = wctx.prec + _GUARD + int((hi + 2) * math.log2(float(t) + count)) + 1
+def _shift_sums(xs, lo: int, hi: int, bits: int):
+    """sum_k (t+k)^-(m+1) at ``bits`` for m = lo..hi (lo >= 0), from the
+    x_k = floor(2^bits/(t+k)): each order's powers are the last order's
+    times x_k, floored."""
+    p = [x ** (lo + 1) >> (lo * bits) for x in xs]
+    sums = [sum(p)]
+    for _ in range(lo, hi):
+        p = [(q * x) >> bits for q, x in zip(p, xs)]
+        sums.append(sum(p))
+    return sums
+
+
+def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t, bounds: bool = False):
+    """ln Gamma(1+t) (order -1) and psi^(order)(1+t) for every order lo..hi,
+    each summed to convergence at z = t + N (N >= 1, z past the threshold)
+    less the shift sums over 0 < k < N.  Returns the values and, with
+    ``bounds``, the truncation bounds (else None)."""
+    thr = _threshold(wctx.digits, hi)
+    shift = 1 if t >= thr - 1 else int(math.ceil(thr - float(t)))
+    z = t + shift
+    log2_z = _log2(z)
+    bits = wctx.prec + _GUARD + int((hi + 2) * log2_z) + 1
     one = 1 << bits
     t_fixed = wctx.to_fixed(t, bits)
-    acc = [0] * len(sums)
-    for k in range(1, count):
-        x = (one << bits) // (t_fixed + k * one)  # floor(2^bits / (t+k))
-        p = x ** (lo + 1) >> (lo * bits)
-        acc[0] += p
-        for i in range(1, len(acc)):
-            p = (p * x) >> bits
-            acc[i] += p
-    return [s + wctx.from_fixed(a, bits) for s, a in zip(sums, acc)]
+    xs = [(one << bits) // (t_fixed + k * one) for k in range(1, shift + 1)]
+    zp = [one, xs.pop()]  # z^0, z^-1, ..., z^-(hi+2) in fixed point
+    for _ in range(max(1, hi + 1)):
+        zp.append((zp[-1] * zp[1]) >> bits)
+    sums = _shift_sums(xs, max(lo, 0), hi, bits) if hi >= 0 else []
+    # the term count of the top order serves every lower one: |c_K/c_1|
+    # grows with the order
+    count = _term_count(_table(_stirling, hi), 1, -2 * log2_z, wctx.prec + _GUARD)
+    lnz = wctx.ln(z) if lo <= 0 else None
+    values, truncs = [], [] if bounds else None
+    for order in range(lo, hi + 1):
+        coeffs = _fixed_coeffs(_table(_stirling, order), 1, count, bits)
+        tail = (_horner(coeffs, zp[2], bits) * zp[order + 2]) >> bits
+        if order == -1:
+            prod = wctx.mpf(1)
+            for k in range(1, shift):
+                prod *= t + k
+            value = (z - 0.5) * lnz - z + wctx.ln(2 * wctx.pi) / 2 - wctx.ln(prod)
+            value += wctx.from_fixed(tail, bits)
+        elif order == 0:
+            value = lnz - wctx.from_fixed((zp[1] >> 1) + tail + sums[0], bits)
+        else:
+            # every part has the sign of psi^(order): nothing cancels
+            fm1 = math.factorial(order - 1)
+            lead = fm1 * zp[order] + ((fm1 * order * zp[order + 1]) >> 1)
+            value = wctx.from_fixed(lead + tail + fm1 * order * sums[order - max(lo, 0)], bits)
+            if order % 2 == 0:
+                value = -value
+        values.append(value)
+        if bounds:
+            first_out = wctx.from_fixed(abs(coeffs[-1]), bits)
+            truncs.append(first_out * (1 / z) ** (2 * count + order))
+    return values, truncs
 
 
 def _jet(wctx: PrecisionContext, lo: int, hi: int, t):
     """ln Gamma (order -1) and psi^(order) at t for every order lo..hi,
-    each summed to convergence.  Returns (values, truncation bounds)."""
+    each summed to convergence: :func:`_jet1p` plus its k = 0 term.
+    Returns (values, truncation bounds)."""
     tw = wctx.mpf(t)
-    thr = _threshold(wctx.digits, hi)
-    shift = 0 if tw >= thr else int(math.ceil(thr - float(tw)))
-    z = tw + shift
-    tails, truncs = _tail(wctx, lo, hi, z, 1)
-    values = [h + s for h, s in zip(_head(wctx, lo, hi, z, 0), tails)]
-    if shift and hi >= 0:
-        # psi^(m)(t) = psi^(m)(t+N) - (-1)^m m! sum_{k<N} (t+k)^(-m-1)
-        first = max(lo, 0)
-        for m, s in zip(range(first, hi + 1), _shift_sums(wctx, tw, shift, first, hi)):
-            term = math.factorial(m) * s
-            values[m - lo] -= term if m % 2 == 0 else -term
-    if shift and lo == -1:
-        # ln Gamma(t) = ln Gamma(t+N) - ln(t (t+1) ... (t+N-1))
-        prod = tw
-        for k in range(1, shift):
-            prod *= tw + k
-        values[0] -= wctx.ln(prod)
+    values, truncs = _jet1p(wctx, lo, hi, tw, bounds=True)
+    if lo == -1:
+        # ln Gamma(t) = ln Gamma(1+t) - ln t
+        values[0] -= wctx.ln(tw)
+    if hi >= 0:
+        inv = 1 / tw
+        p = inv ** (max(lo, 0) + 1)
+        for m in range(max(lo, 0), hi + 1):
+            # psi^(m)(t) = psi^(m)(1+t) - (-1)^m m! t^-(m+1)
+            term = math.factorial(m) * p
+            values[m - lo] += term if m % 2 else -term
+            p *= inv
     return values, truncs
 
 

@@ -92,7 +92,7 @@ def _f_series(ctx, n, v, ell):
     """d^ell/dv^ell of f_n = (-1)^{n+1} v^{2n+1-ell} sum_{k>n} a_k^(ell)
     w^{k-n-1} for ell <= 2n+1 and w = v^2 < 1/4 (a_k shrinks like
     (2 pi)^-2k)."""
-    acc, _, _ = _series(ctx, _table(_taylor, ell), n + 1, v * v, 2 * _log2(v))
+    acc = _series(ctx, _table(_taylor, ell), n + 1, v * v, 2 * _log2(v))
     val = acc * v ** (2 * n + 1 - ell)
     return val if n % 2 else -val
 

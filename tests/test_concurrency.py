@@ -22,6 +22,9 @@ POLYGAMMA_DIGITS = range(40, 70)
 # the jump past twice the bits of the first entry makes the fixed-point
 # coefficient tables rebuild at more bits while other threads read them
 JET_DIGITS = (40, 130, 50, 45)
+# t = 0.3 lies below the switch for every n: the sweep over n makes the
+# threads fill the Laurent table entry by entry while the others read it
+JET_NS = range(3, 31)
 # the same jump for the kernels' Taylor tables, on both kernel branches
 KERNEL_DIGITS = (40, 130, 50)
 
@@ -30,12 +33,13 @@ import json, sys, threading
 sys.setswitchinterval(1e-6)
 from cmlab import K_kernel, PrecisionContext, bernoulli, f_kernel, polygamma, remainder_jet
 
-THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, KERNEL_DIGITS = %d, %d, range(%d, %d), %r, %r
+THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, KERNEL_DIGITS = (
+    %d, %d, range(%d, %d), %r, range(%d, %d), %r)
 
 
 def bernoulli_fill():
-    # every n in turn: threads read while others grow the list, across
-    # several doublings of its length
+    # every n in turn: threads read while others grow the list and the
+    # tangent recurrence's saved state one entry at a time
     for n in range(MAX_BERNOULLI + 1):
         bernoulli(n)
 
@@ -45,9 +49,14 @@ def polygamma_sweep():
         polygamma(PrecisionContext(d), 3, "30")
 
 
+def jets():
+    return [remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3") for d in JET_DIGITS] + [
+        remainder_jet(PrecisionContext(15), n, 0, 16, "0.3") for n in JET_NS
+    ]
+
+
 def jet_sweep():
-    for d in JET_DIGITS:
-        remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")
+    jets()
 
 
 def kernels(d):
@@ -89,7 +98,7 @@ print(json.dumps({
     "errors": errors,
     "bernoulli": [str(bernoulli(k)) for k in range(MAX_BERNOULLI + 1)],
     "polygamma": [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS],
-    "jet": [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS],
+    "jet": [repr(jet) for jet in jets()],
     "kernel": [repr(kernels(d)) for d in KERNEL_DIGITS],
 }))
 """ % (
@@ -98,6 +107,8 @@ print(json.dumps({
     POLYGAMMA_DIGITS.start,
     POLYGAMMA_DIGITS.stop,
     JET_DIGITS,
+    JET_NS.start,
+    JET_NS.stop,
     KERNEL_DIGITS,
 )
 
@@ -139,6 +150,7 @@ def test_remainder_jet_filled_concurrently_matches_single_thread():
     result = _race_in_fresh_interpreter("jet")
     assert result["errors"] == []
     single = [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS]
+    single += [repr(remainder_jet(PrecisionContext(15), n, 0, 16, "0.3")) for n in JET_NS]
     assert result["jet"] == single
 
 

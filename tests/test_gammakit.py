@@ -138,8 +138,9 @@ def test_stirling_coefficients_match_definition():
 @pytest.mark.parametrize("digits", [30, 60])
 @pytest.mark.parametrize("where", ["tiny", "below-threshold", "two-below-threshold"])
 def test_shift_sums_match_plain_mpf_sum(digits, where):
-    # sum_{k<N} (t+k)^-(m+1) for m = 0..16 from one fixed-point pass,
-    # against the same sum in mpf at 20 more digits
+    # sum_{0<k<N} (t+k)^-(m+1) for m = 0..16 from one fixed-point pass in
+    # the frame psi^(m)(1+t) is summed in, against the same sum in mpf at
+    # 20 more digits; N = 1 has no shift terms at all
     wctx = PrecisionContext(digits)
     thr = gammakit._threshold(wctx.digits, 16)
     t, count = {
@@ -147,11 +148,16 @@ def test_shift_sums_match_plain_mpf_sum(digits, where):
         "below-threshold": (thr - wctx.mpf("0.25"), 1),
         "two-below-threshold": (thr - wctx.mpf("1.75"), 2),
     }[where]
-    got = gammakit._shift_sums(wctx, t, count, 0, 16)
+    bits = wctx.prec + gammakit._GUARD + int(18 * math.log2(float(t) + count)) + 1
+    one = 1 << bits
+    t_fixed = wctx.to_fixed(t, bits)
+    xs = [(one << bits) // (t_fixed + k * one) for k in range(1, count)]
+    got = [wctx.from_fixed(s, bits) for s in gammakit._shift_sums(xs, 0, 16, bits)]
+    assert len(got) == 17
     with mpmath.workdps(digits + 20):
         for m, value in enumerate(got):
             want = mpmath.fsum(
-                (mpmath.mpf(t) + k) ** (-(m + 1)) for k in range(count)
+                (mpmath.mpf(t) + k) ** (-(m + 1)) for k in range(1, count)
             )
             assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (1 - digits) * want, m
 

@@ -10,6 +10,7 @@ import pytest
 
 from cmlab import (
     DomainError,
+    GridSpec,
     PrecisionContext,
     bernoulli,
     gammakit,
@@ -19,6 +20,7 @@ from cmlab import (
     remainder_d2,
     remainder_deriv,
     remainder_jet,
+    remainders,
     tail_limits,
 )
 
@@ -296,3 +298,133 @@ def test_remainder_jet_domain():
         remainder_jet(ctx, 1, -1, 2, 1)
     with pytest.raises(DomainError):
         remainder_jet(ctx, 1, 0, 2, 0)
+
+
+def _reference_head(wctx, lo, hi, z, n):
+    """The leading terms of the Stirling expansions of ln Gamma (order -1)
+    and psi^(order) at z plus their first n Bernoulli terms, in mpf: the
+    head the remainder route once subtracted at the unshifted t."""
+    zp = [wctx.mpf(1), 1 / z]
+    for _ in range(max(hi + 1, 2 * n + hi) - 1):
+        zp.append(zp[-1] * zp[1])
+    lnz = wctx.ln(z) if lo <= 0 else None
+    bits = wctx.prec + gammakit._GUARD
+    values = []
+    for order in range(lo, hi + 1):
+        bern = wctx.mpf(0)
+        coeffs = gammakit._fixed_coeffs(gammakit._table(gammakit._stirling, order), 1, n, bits)
+        for k, c in enumerate(coeffs, 1):
+            bern += wctx.from_fixed(c, bits) * zp[2 * k + order]
+        if order == -1:
+            values.append((z - 0.5) * lnz - z + wctx.ln(2 * wctx.pi) / 2 + bern)
+        elif order == 0:
+            values.append(lnz - zp[1] / 2 - bern)
+        else:
+            fm1 = math.factorial(order - 1)
+            val = fm1 * zp[order] + fm1 * order * zp[order + 1] / 2
+            values.append(val + bern if order % 2 else -val - bern)
+    return values
+
+
+def _reference_jet(wctx, lo, hi, t):
+    """ln Gamma and psi^(order) at t the way they were summed before the
+    psi(1+t) frame: head plus tail at z = t + N, less the N shift terms
+    k = 0..N-1 summed in mpf."""
+    thr = gammakit._threshold(wctx.digits, hi)
+    shift = 0 if t >= thr else int(math.ceil(thr - float(t)))
+    z = t + shift
+    tails = gammakit._tail(wctx, lo, hi, z, 1)
+    values = [h + s for h, s in zip(_reference_head(wctx, lo, hi, z, 0), tails)]
+    for m in range(max(lo, 0), hi + 1):
+        s = sum((t + k) ** (-(m + 1)) for k in range(shift))
+        values[m - lo] -= math.factorial(m) * s * (1 if m % 2 == 0 else -1)
+    if shift and lo == -1:
+        prod = t
+        for k in range(1, shift):
+            prod *= t + k
+        values[0] -= wctx.ln(prod)
+    return values
+
+
+def reference_remainder_jet(ctx, n, j_lo, j_hi, t):
+    """A test-local copy of the route R_n^(j) took below the switch before
+    the psi(1+t) frame: (-1)^n (G - head) at the unshifted t, G by
+    ``_reference_jet`` at the boosted context.  At or above the switch it
+    takes the tail route, which is unchanged."""
+    t0 = ctx.mpf(t)
+    guard = 10 + max(j_hi - 1, 0)
+    sign = -1 if n % 2 else 1
+    lo, hi = j_lo - 1, j_hi - 1
+    if t0 >= gammakit._threshold(ctx.digits + guard, hi) + n:
+        wctx = ctx.boosted(guard)
+        return [ctx.mpf(sign * v) for v in gammakit._tail(wctx, lo, hi, wctx.mpf(t0), n + 1)]
+    lt = math.log10(float(t0)) if t0 > 1 else 0.0
+    wctx = ctx.boosted(int(math.ceil((2 * n + j_hi + 2) * lt)) + 15 + guard)
+    tw = wctx.mpf(t0)
+    gs = _reference_jet(wctx, lo, hi, tw)
+    heads = _reference_head(wctx, lo, hi, tw, n)
+    return [ctx.mpf(sign * (g - h)) for g, h in zip(gs, heads)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_remainder_jet_equals_reference_route_on_degree_grid(n):
+    # the jets cm_check reads on the default degree grid, orders 1..9 at
+    # 30 digits: equal after rounding to ctx to the route they replace
+    ctx = PrecisionContext(30)
+    differ = []
+    for t in GridSpec(1e-10, 1e3, 400).points(ctx):
+        got = remainder_jet(ctx, n, 1, 9, t)
+        want = reference_remainder_jet(ctx, n, 1, 9, t)
+        differ += [(j, float(t)) for j, (a, b) in enumerate(zip(got, want), 1) if a != b]
+    assert not differ, differ
+
+
+@pytest.mark.parametrize("digits", [15, 60, 100])
+@pytest.mark.parametrize("n", [0, 6, 30])
+def test_remainder_deriv_matches_reference_route(digits, n):
+    # every order, below t = 1, above it and just below the switch to the
+    # tail sum: within 10^(3-digits) relative of the replaced route
+    ctx = PrecisionContext(digits)
+    tol = ctx.mpf(10) ** (3 - digits)
+    failures = []
+    for j in range(17):
+        switch = gammakit._threshold(digits + 10 + max(j - 1, 0), j - 1) + n
+        for t in (1e-7, 0.3, 7.5, switch - 0.5):
+            (got,) = remainder_jet(ctx, n, j, j, t)
+            (want,) = reference_remainder_jet(ctx, n, j, j, t)
+            if abs(got - want) > tol * abs(want):
+                failures.append((j, t, float(abs(got / want - 1))))
+    assert not failures, failures
+
+
+def test_laurent_coefficients_match_definition():
+    # Lambda_{n,m} = G_m(t) - G_m(1+t) - head_{n,m}(t): the k = 0 shift
+    # term less the leading and first n Bernoulli terms of G_m's Stirling
+    # expansion at t, as exact Fractions in powers of 1/t, past the
+    # logarithms of orders 0 and -1
+    for order in range(-1, 17):
+        for n in range(31):
+            want = {}
+
+            def add(k, c):
+                want[k] = want.get(k, 0) + Fraction(c)
+
+            if order >= 1:
+                sign = (-1) ** (order + 1)
+                add(order + 1, sign * math.factorial(order))  # psi^(m)(t) - psi^(m)(1+t)
+                add(order, -sign * math.factorial(order - 1))
+                add(order + 1, -sign * Fraction(math.factorial(order), 2))
+                for k in range(1, n + 1):
+                    add(2 * k + order, -sign * gammakit._stirling(order, k))
+            elif order == 0:
+                add(1, -1)  # psi(t) - psi(1+t)
+                add(1, Fraction(1, 2))
+                for k in range(1, n + 1):
+                    add(2 * k, gammakit._stirling(0, k))
+            else:
+                for k in range(1, n + 1):
+                    add(2 * k - 1, -gammakit._stirling(-1, k))
+            den, terms = remainders._laurent_coeffs(order, n)
+            assert all(isinstance(a, int) and a != 0 for _, a in terms), (order, n)
+            got = {k: Fraction(a, den) for k, a in terms}
+            assert got == {k: c for k, c in want.items() if c}, (order, n)
