@@ -18,7 +18,7 @@ from .cmdegree import (
     degree_estimate,
     first_deriv_bound,
 )
-from .combinatorics import bernoulli, falling, stirling2, zeta_even
+from .combinatorics import bernoulli, stirling2, zeta_even
 from .errors import BracketError, DomainError, IntegrationError
 from .gammakit import GammaEval, ln_gamma, polygamma
 from .kernels import (
@@ -72,7 +72,6 @@ __all__ = [
     # combinatorics
     "bernoulli",
     "stirling2",
-    "falling",
     "zeta_even",
     # gamma machinery
     "GammaEval",

@@ -1,5 +1,5 @@
 """Exact integer/rational sequences: Bernoulli numbers, Stirling numbers of
-the second kind, falling factorials, and zeta at even integers.
+the second kind, and zeta at even integers.
 
 Everything here is exact arithmetic over integers and ``fractions.Fraction``;
 floating values are produced only by the caller converting through a
@@ -19,7 +19,6 @@ Conventions:
 * Bernoulli numbers follow the generating function z/(e^z - 1), i.e.
   B_1 = -1/2 (so 1/(e^z-1) = 1/z - 1/2 + ...).
 * S(k, p) counts partitions of a k-set into p nonempty blocks.
-* The falling factorial <a>_n = a (a-1) ... (a-n+1), with <a>_0 = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from math import comb, factorial
 
 from .errors import DomainError
 
-__all__ = ["bernoulli", "stirling2", "falling", "zeta_even"]
+__all__ = ["bernoulli", "stirling2", "zeta_even"]
 
 # B_0, B_1, ... computed so far (exact, lowest terms by Fraction's invariant)
 _BERNOULLI: list[Fraction] = [Fraction(1)]
@@ -126,22 +125,6 @@ def stirling2(k: int, p: int) -> Fraction:
     if rest:
         raise AssertionError("S(%d,%d) did not reduce to an integer" % (k, p))
     return Fraction(result)
-
-
-def falling(alpha, n: int):
-    """Falling factorial <alpha>_n = alpha (alpha-1) ... (alpha-n+1).
-
-    Generic over the argument kind: exact for int/Fraction input, floating
-    for mpf/float input (the degree estimator needs non-integer alpha).
-    Returns 1 of the same kind for n = 0.
-    """
-    n = int(n)
-    if n < 0:
-        raise DomainError("falling requires n >= 0, got %d" % n)
-    result = alpha * 0 + 1  # multiplicative identity of alpha's kind
-    for k in range(n):
-        result = result * (alpha - k)
-    return result
 
 
 def zeta_even(n: int) -> tuple[Fraction, int]:

@@ -9,23 +9,46 @@ recurrences.  No gamma-family routine of the underlying arbitrary-
 precision library is called, so these values can serve as one side of an
 honest cross-check against quadrature.
 
-``_jet1p`` sums ln Gamma(1+t) (order -1) and psi^(m)(1+t) for a whole
-range of orders at once: with z = t + N (N >= 1, z past the threshold),
+``_stirling_jet`` is the one route to the Stirling expansions G_m of
+ln Gamma (m = -1) and psi^(m) (m >= 0), for a whole range of orders at
+once.  Without n it returns G_m(t); ``ln_gamma`` and ``polygamma`` are
+its one-order cases.  With n >= 0 it returns G_m(t) - head_{n,m}(t), head
+being G_m's leading terms plus its first n Bernoulli terms at t: that is
+(-1)^n R_n^(m+1)(t), the Bernoulli terms k > n, and ``remainders`` is its
+caller.  Each value is rounded to the caller's context; the working
+context carries 10 + max(m_hi, 0) guard digits.
+
+At or above G's shift threshold plus n the terms k > n shrink from the
+first on, and the value is ``_tail`` from k0 = n+1: nothing cancels.
+Elsewhere the value is split at the shift's first step,
+
+    G_m(t) - head_{n,m}(t) = G_m(1+t) + Lambda_{n,m}(t).
+
+``_jet1p`` sums G_m(1+t) for the whole range of orders: with z = t + N
+(N >= 1, z past the threshold),
 
     psi^(m)(1+t) = [leading terms + Bernoulli tail at z]
                    - (-1)^m m! sum_{0<k<N} (t+k)^-(m+1),
 
 and likewise ln Gamma(1+t) = ln Gamma(z) - ln prod_{0<k<N} (t+k).
-``_jet`` is that plus the k = 0 term, (-1)^(m+1) m! t^-(m+1) or -ln t,
-in mpf since t may be 1e-300; ``ln_gamma`` and ``polygamma`` are its
-one-order cases.  Below their switch the remainder jets take
-``_jet1p`` too and add an exact Laurent polynomial in 1/t
-(``remainders``); above it they read ``_tail``, the Bernoulli terms from
-k0 = n+1 on, directly.  So there is one route to psi^(m), not one per
-caller.
+Lambda_{n,m} = G_m(t) - G_m(1+t) - head is the k = 0 shift term less the
+head.  Without n it is the k = 0 term alone, (-1)^(m+1) m! t^-(m+1), or
+-ln t for ln Gamma.  With n, for m >= 1 it is the Laurent polynomial
+
+    (-1)^(m+1) [(m!/2) t^-(m+1) - (m-1)! t^-m - sum_{k<=n} c_k^(m) t^-(2k+m)],
+
+for m = 0 -ln t - 1/(2t) + sum_{k<=n} (B_2k/2k) t^-2k, and for m = -1
+-(t + 1/2) ln t + t - ln(2 pi)/2 - sum_{k<=n} c_k t^(1-2k).  The integer
+coefficients of its powers of 1/t, over one denominator, sit in one exact
+table keyed by (m, n), and ``_laurent`` sums them exactly in integers from
+t's mantissa before one division, so t may be 1e-300.  With n and t > 1
+the sum, of size t^-(2n+m+2) against ingredients of size t^-m (ln t for
+m = 0, t ln t for m = -1), runs under (2n+m+3) log10 t + 15 more digits,
+which the switch keeps bounded.
 
 ``_jet1p`` runs in one fixed-point frame: every number is a multiple of
-2^-F with F = prec + guard + (m_hi+2) log2 z, so that z^-(m_hi+2), the
+2^-F with F = prec + guard + (m_hi+2) log2 z (guard = ``_GUARD`` bits,
+on top of the working context's guard digits), so that z^-(m_hi+2), the
 smallest part any order needs, still has prec + guard bits.
 
 * 1/(t+k) for 0 < k <= N takes one integer division each, and z^-e
@@ -111,6 +134,9 @@ class _Coeffs:
 
 # one table per (coefficient function, parameter)
 _TABLES: dict = {}
+# (order, n) -> the exact Laurent polynomial of Lambda_{n,order}, n = None
+# for the bare k = 0 term; an entry is made whole and then published
+_LAURENT: dict = {}
 # serialises the filling of every table; a list only grows and a table's
 # ``fixed`` pair is replaced whole, so a reader needs no lock
 _FILL = threading.Lock()
@@ -251,11 +277,10 @@ def _shift_sums(xs, lo: int, hi: int, bits: int):
     return sums
 
 
-def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t, bounds: bool = False):
+def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t):
     """ln Gamma(1+t) (order -1) and psi^(order)(1+t) for every order lo..hi,
     each summed to convergence at z = t + N (N >= 1, z past the threshold)
-    less the shift sums over 0 < k < N.  Returns the values and, with
-    ``bounds``, the truncation bounds (else None)."""
+    less the shift sums over 0 < k < N."""
     thr = _threshold(wctx.digits, hi)
     shift = 1 if t >= thr - 1 else int(math.ceil(thr - float(t)))
     z = t + shift
@@ -272,7 +297,7 @@ def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t, bounds: bool = False):
     # grows with the order
     count = _term_count(_table(_stirling, hi), 1, -2 * log2_z, wctx.prec + _GUARD)
     lnz = wctx.ln(z) if lo <= 0 else None
-    values, truncs = [], [] if bounds else None
+    values = []
     for order in range(lo, hi + 1):
         coeffs = _fixed_coeffs(_table(_stirling, order), 1, count, bits)
         tail = (_horner(coeffs, zp[2], bits) * zp[order + 2]) >> bits
@@ -292,49 +317,113 @@ def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t, bounds: bool = False):
             if order % 2 == 0:
                 value = -value
         values.append(value)
-        if bounds:
-            first_out = wctx.from_fixed(abs(coeffs[-1]), bits)
-            truncs.append(first_out * (1 / z) ** (2 * count + order))
-    return values, truncs
+    return values
 
 
-def _jet(wctx: PrecisionContext, lo: int, hi: int, t):
-    """ln Gamma (order -1) and psi^(order) at t for every order lo..hi,
-    each summed to convergence: :func:`_jet1p` plus its k = 0 term.
-    Returns (values, truncation bounds)."""
+def _laurent_coeffs(order: int, n):
+    """(D, [(k, a_k), ...]) with integers a_k != 0 such that the Laurent
+    polynomial of Lambda_{n,order}(t) is sum_k a_k t^-k / D; one exact
+    table, keyed by (order, n).  n = None gives the bare k = 0 term."""
+    key = (order, n)
+    entry = _LAURENT.get(key)
+    if entry is None:
+        # the k = 0 shift term G_m(t) - G_m(1+t): (-1)^(m+1) m! t^-(m+1),
+        # or for ln Gamma -ln t, which is no power of 1/t
+        sign = 1 if order % 2 else -1
+        terms = {order + 1: sign * math.factorial(order)} if order >= 0 else {}
+        if n is not None:
+            # less the head; outside the lock, which _frac_coeffs takes itself
+            s = _frac_coeffs(_table(_stirling, order), n)
+            if order >= 1:
+                # (-1)^(m+1) [(m-1)! t^-m + (m!/2) t^-(m+1) + sum_k s_k t^-(2k+m)]
+                head = [(order, sign * math.factorial(order - 1))]
+                head.append((order + 1, Fraction(sign * math.factorial(order), 2)))
+                head += [(2 * k + order, sign * c) for k, c in enumerate(s, 1)]
+            elif order == 0:
+                # ln t - 1/(2t) - sum_k (B_2k/2k) t^-2k, past its ln t
+                head = [(1, Fraction(-1, 2))] + [(2 * k, -c) for k, c in enumerate(s, 1)]
+            else:
+                # (t - 1/2) ln t - t + ln(2 pi)/2 + sum_k c_k t^(1-2k), past
+                # its first three terms
+                head = [(2 * k - 1, c) for k, c in enumerate(s, 1)]
+            for k, a in head:
+                terms[k] = terms.get(k, 0) - a
+        den = math.lcm(*(Fraction(a).denominator for a in terms.values()))
+        made = (den, [(k, int(a * den)) for k, a in terms.items() if a])
+        with _FILL:
+            entry = _LAURENT.setdefault(key, made)
+    return entry
+
+
+def _laurent(wctx: PrecisionContext, n, lo: int, hi: int, t):
+    """Lambda_{n,m}(t) = G_m(t) - G_m(1+t) - head_{n,m}(t) for m = lo..hi,
+    head being the leading terms of G_m's Stirling expansion plus its
+    first n Bernoulli terms, or nothing for n = None: the Laurent
+    polynomial, summed exactly in integers and then rounded, plus its
+    logarithms.  Those are -ln t for ln Gamma (m = -1) without n, and with
+    n -ln t (m = 0) or -(t + 1/2) ln t + t - ln(2 pi)/2 (m = -1)."""
+    entries = [_laurent_coeffs(order, n) for order in range(lo, hi + 1)]
+    top = max((k for _, terms in entries for k, _ in terms), default=0)
+    # t = p / 2^down exactly, so t^-k = 2^(k down) p^(top-k) / p^top
+    man, exp = t.man_exp
+    p, down = man << max(exp, 0), max(-exp, 0)
+    ppow = [1]
+    for _ in range(top):
+        ppow.append(ppow[-1] * p)
+    lnt = wctx.ln(t) if lo == -1 or (lo == 0 and n is not None) else None
+    values = []
+    for order, (den, terms) in enumerate(entries, lo):
+        num = sum((a * ppow[top - k]) << (k * down) for k, a in terms)
+        den *= ppow[top]
+        # num/den floored to prec + guard bits, then rounded once more
+        bits = wctx.prec + _GUARD + den.bit_length() - abs(num).bit_length()
+        quo = (num << bits) // den if bits >= 0 else num // (den << -bits)
+        value = wctx.from_fixed(quo, bits)
+        if order == -1:
+            value += -lnt if n is None else t - (t + 0.5) * lnt - wctx.ln(2 * wctx.pi) / 2
+        elif order == 0 and n is not None:
+            value -= lnt
+        values.append(value)
+    return values
+
+
+def _stirling_jet(ctx: PrecisionContext, lo: int, hi: int, t, n=None):
+    """G_m(t) for every order m = lo..hi, or with n >= 0 G_m(t) less its
+    head, (-1)^n R_n^(m+1)(t); each rounded to ``ctx``.  t is read at the
+    working precision, so digits it has beyond ``ctx`` count; with n it
+    must compare with numbers (an mpf or a float)."""
+    guard = 10 + max(hi, 0)
+    extra = guard
+    if n is not None:
+        if t >= _threshold(ctx.digits + guard, hi) + n:
+            # the Bernoulli terms k > n shrink from the first on: nothing cancels
+            wctx = ctx.boosted(guard)
+            return [ctx.mpf(v) for v in _tail(wctx, lo, hi, wctx.mpf(t), n + 1)]
+        # t is a float here; these digits absorb the cancellation
+        lt = math.log10(float(t)) if t > 1 else 0.0
+        extra += int(math.ceil((2 * n + hi + 3) * lt)) + 15
+    wctx = ctx.boosted(extra)
     tw = wctx.mpf(t)
-    values, truncs = _jet1p(wctx, lo, hi, tw, bounds=True)
-    if lo == -1:
-        # ln Gamma(t) = ln Gamma(1+t) - ln t
-        values[0] -= wctx.ln(tw)
-    if hi >= 0:
-        inv = 1 / tw
-        p = inv ** (max(lo, 0) + 1)
-        for m in range(max(lo, 0), hi + 1):
-            # psi^(m)(t) = psi^(m)(1+t) - (-1)^m m! t^-(m+1)
-            term = math.factorial(m) * p
-            values[m - lo] += term if m % 2 else -term
-            p *= inv
-    return values, truncs
+    gs = _jet1p(wctx, lo, hi, tw)
+    return [ctx.mpf(g + lam) for g, lam in zip(gs, _laurent(wctx, n, lo, hi, tw))]
 
 
-def _wrap(ctx: PrecisionContext, t, order: int, value_w, trunc) -> GammaEval:
-    v = ctx.mpf(value_w)
-    est = (
-        abs(v) * ctx.mpf(10) ** (2 - ctx.digits)
-        + ctx.mpf(10) ** (-(ctx.digits + 6))
-        + ctx.mpf(trunc)
-    )
+def _wrap(ctx: PrecisionContext, t, order: int, v) -> GammaEval:
+    """The evaluation with its error bound: 10^(2-digits) relative plus
+    an absolute floor.  The series' truncation is dominated by both.  Each
+    tail stops below 2^-(prec+20) of its first term (m+1)!/12 z^-(m+2), at
+    the working precision.  For m >= 1 that term is below
+    (m-1)! z^-m <= |psi^(m)(t)|, because z > m+9.  For orders 0 and -1
+    it lies far below the absolute floor."""
+    est = abs(v) * ctx.mpf(10) ** (2 - ctx.digits) + ctx.mpf(10) ** (-(ctx.digits + 6))
     return GammaEval(t=ctx.mpf(t), value=v, order=order, est_error=est)
 
 
 def ln_gamma(ctx: PrecisionContext, t) -> GammaEval:
     """ln Gamma(t) for t > 0."""
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("ln_gamma requires finite t > 0, got %s" % t0)
-    (val,), (trunc,) = _jet(ctx.boosted(10), -1, -1, t)
-    return _wrap(ctx, t, -1, val, trunc)
+    ctx.positive(t, "ln_gamma")
+    (val,) = _stirling_jet(ctx, -1, -1, t)
+    return _wrap(ctx, t, -1, val)
 
 
 def polygamma(ctx: PrecisionContext, m: int, t) -> GammaEval:
@@ -342,8 +431,6 @@ def polygamma(ctx: PrecisionContext, m: int, t) -> GammaEval:
     if int(m) != m or m < 0:
         raise DomainError("polygamma requires integer m >= 0, got %r" % (m,))
     m = int(m)
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("polygamma requires finite t > 0, got %s" % t0)
-    (val,), (trunc,) = _jet(ctx.boosted(10 + m), m, m, t)
-    return _wrap(ctx, t, m, val, trunc)
+    ctx.positive(t, "polygamma")
+    (val,) = _stirling_jet(ctx, m, m, t)
+    return _wrap(ctx, t, m, val)

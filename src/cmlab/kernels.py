@@ -76,9 +76,7 @@ def f_kernel(ctx: PrecisionContext, n: int, v):
 def _f_deriv(ctx, n, ell, v):
     """d^ell/dv^ell of f_n at v > 0: the Taylor series below v = 1/2 where
     its terms shrink from the first on, the closed form elsewhere."""
-    v0 = ctx.mpf(v)
-    if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("f_%d^(%d) requires v > 0, got %s" % (n, ell, v0))
+    v0 = ctx.positive(v, "f_%d^(%d)" % (n, ell), "v")
     if v0 < ctx.mpf(_SERIES_BRANCH):
         # the series' second term over its first (K_m, m >~ 30: not below 1)
         tab = _table(_taylor, ell)
@@ -128,9 +126,7 @@ def bose_derivative(ctx: PrecisionContext, k: int, v):
     if int(k) != k or k < 0:
         raise DomainError("bose_derivative requires integer k >= 0, got %r" % (k,))
     k = int(k)
-    v0 = ctx.mpf(v)
-    if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("bose_derivative requires v > 0, got %s" % v0)
+    v0 = ctx.positive(v, "bose_derivative", "v")
     u = 1 / ctx.expm1(v0)
     if k == 0:
         return u
@@ -184,9 +180,7 @@ def remark1_chain(ctx: PrecisionContext, v) -> Remark1Chain:
     """Evaluate the five chain expressions at v > 0 from their explicit
     closed forms, with a precision boost against the v -> 0 cancellation
     (expr1 vanishes to sixth order)."""
-    v0 = ctx.mpf(v)
-    if not (ctx.isfinite(v0) and v0 > 0):
-        raise DomainError("remark1_chain requires v > 0, got %s" % v0)
+    v0 = ctx.positive(v, "remark1_chain", "v")
     extra = 10
     if v0 < 1:
         # from v's binary exponent: float(v) underflows below 1e-308

@@ -72,6 +72,14 @@ class PrecisionContext:
             return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
         return self._mp.mpf(x)
 
+    def positive(self, x, name: str, var: str = "t"):
+        """``x`` as an mpf of this context, checked finite and > 0; else a
+        DomainError naming the function ``name`` and its variable ``var``."""
+        x0 = self.mpf(x)
+        if not (self._mp.isfinite(x0) and x0 > 0):
+            raise DomainError("%s requires finite %s > 0, got %s" % (name, var, x0))
+        return x0
+
     @property
     def prec(self) -> int:
         """The working precision in bits."""

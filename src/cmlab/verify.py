@@ -48,9 +48,7 @@ def binet_check(ctx: PrecisionContext, t):
     bounded by g(0+) = 1/12.  Series evaluator on one side, quadrature on
     the other; returns |difference|.
     """
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("binet_check requires finite t > 0, got %s" % t0)
+    t0 = ctx.positive(t, "binet_check")
     lhs = gammakit.ln_gamma(ctx, t0).value
 
     def g(u):
@@ -69,9 +67,7 @@ def psi_integral_check(ctx: PrecisionContext, t):
     where h(v) = 1/(1 - e^{-v}) - 1/v rises from 1/2 to 1.  Returns the
     absolute difference between the series evaluator and the quadrature.
     """
-    t0 = ctx.mpf(t)
-    if not (ctx.isfinite(t0) and t0 > 0):
-        raise DomainError("psi_integral_check requires finite t > 0, got %s" % t0)
+    t0 = ctx.positive(t, "psi_integral_check")
     lhs = gammakit.polygamma(ctx, 0, t0).value
 
     def h(v):

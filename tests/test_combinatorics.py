@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cmlab import DomainError, PrecisionContext, bernoulli, falling, stirling2, zeta_even
+from cmlab import DomainError, PrecisionContext, bernoulli, stirling2, zeta_even
 
 
 def akiyama_tanigawa(n):
@@ -81,29 +81,6 @@ def test_stirling2_known_row():
 def test_stirling2_domain(args):
     with pytest.raises(DomainError):
         stirling2(*args)
-
-
-def test_falling_integers():
-    assert falling(5, 0) == 1
-    assert falling(5, 3) == 60
-    assert falling(5, 6) == 0  # passes through zero
-    assert falling(-2, 3) == -24
-
-
-def test_falling_preserves_kind():
-    ctx = PrecisionContext(30)
-    a = ctx.mpf("2.5")
-    out = falling(a, 2)
-    assert type(out) is type(a)
-    assert abs(out - ctx.mpf("3.75")) == 0
-    assert isinstance(falling(7, 2), int)
-    exact = falling(Fraction(1, 2), 3)
-    assert exact == Fraction(1, 2) * Fraction(-1, 2) * Fraction(-3, 2)
-
-
-def test_falling_rejects_negative_count():
-    with pytest.raises(DomainError):
-        falling(3, -1)
 
 
 def test_zeta_even_small_cases():

@@ -2,14 +2,16 @@
 
 Each case runs in a fresh interpreter, so the caches start empty, with four
 threads released together and a tiny thread switch interval, so that the
-threads interleave inside the cache fills.
+threads interleave inside the cache fills.  Each thread's own results,
+computed during the race, and the values recomputed after the threads
+join are all compared with single-threaded ones: a reader that uses a
+partly built entry shows in its own results.
 """
 
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import cmlab
 from cmlab import K_kernel, PrecisionContext, f_kernel, polygamma, remainder_jet
@@ -40,67 +42,56 @@ THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, KERNEL_DIGITS = (
 def bernoulli_fill():
     # every n in turn: threads read while others grow the list and the
     # tangent recurrence's saved state one entry at a time
-    for n in range(MAX_BERNOULLI + 1):
-        bernoulli(n)
+    return [str(bernoulli(n)) for n in range(MAX_BERNOULLI + 1)]
 
 
 def polygamma_sweep():
-    for d in DIGITS:
-        polygamma(PrecisionContext(d), 3, "30")
+    # fills the Bernoulli, exact and fixed-point coefficient tables and the
+    # Laurent table's entry of the bare k = 0 term
+    return [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS]
 
 
 def jets():
-    return [remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3") for d in JET_DIGITS] + [
-        remainder_jet(PrecisionContext(15), n, 0, 16, "0.3") for n in JET_NS
+    return [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS] + [
+        repr(remainder_jet(PrecisionContext(15), n, 0, 16, "0.3")) for n in JET_NS
     ]
 
 
-def jet_sweep():
-    jets()
-
-
-def kernels(d):
-    ctx = PrecisionContext(d)
-    return [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")] + [
-        K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")
-    ]
-
-
-def kernel_sweep():
+def kernels():
+    out = []
     for d in KERNEL_DIGITS:
-        kernels(d)
+        ctx = PrecisionContext(d)
+        vals = [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")]
+        vals += [K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")]
+        out.append(repr(vals))
+    return out
 
 
 work = {
     "bernoulli": bernoulli_fill,
     "polygamma": polygamma_sweep,
-    "jet": jet_sweep,
-    "kernel": kernel_sweep,
+    "jet": jets,
+    "kernel": kernels,
 }[sys.argv[1]]
 barrier = threading.Barrier(THREADS)
 errors = []
+results = [None] * THREADS
 
 
-def run():
+def run(i):
     barrier.wait()
     try:
-        work()
+        results[i] = work()
     except Exception as exc:
         errors.append(repr(exc))
 
 
-threads = [threading.Thread(target=run) for _ in range(THREADS)]
+threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
 for th in threads:
     th.start()
 for th in threads:
     th.join()
-print(json.dumps({
-    "errors": errors,
-    "bernoulli": [str(bernoulli(k)) for k in range(MAX_BERNOULLI + 1)],
-    "polygamma": [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in DIGITS],
-    "jet": [repr(jet) for jet in jets()],
-    "kernel": [repr(kernels(d)) for d in KERNEL_DIGITS],
-}))
+print(json.dumps({"errors": errors, "threads": results, "after": work()}))
 """ % (
     THREADS,
     MAX_BERNOULLI,
@@ -130,37 +121,40 @@ def _race_in_fresh_interpreter(work):
     return json.loads(proc.stdout)
 
 
+def _assert_all_equal(result, single):
+    """No thread failed, and every thread's results and the values read
+    back after the join equal the single-threaded ``single``."""
+    assert result["errors"] == []
+    for i, got in enumerate(result["threads"]):
+        assert got == single, "thread %d" % i
+    assert result["after"] == single
+
+
 def test_bernoulli_filled_concurrently_is_exact():
     result = _race_in_fresh_interpreter("bernoulli")
-    assert result["errors"] == []
-    wrong = [k for k, b in enumerate(result["bernoulli"]) if Fraction(b) != akiyama_tanigawa(k)]
-    assert wrong == []
+    _assert_all_equal(result, [str(akiyama_tanigawa(k)) for k in range(MAX_BERNOULLI + 1)])
 
 
 def test_polygamma_filled_concurrently_matches_single_thread():
-    # the threads fill the Bernoulli, exact and fixed-point coefficient
-    # caches together; a duplicated entry shifts every later coefficient
+    # a duplicated entry shifts every later coefficient
     result = _race_in_fresh_interpreter("polygamma")
-    assert result["errors"] == []
     single = [repr(polygamma(PrecisionContext(d), 3, "30").value) for d in POLYGAMMA_DIGITS]
-    assert result["polygamma"] == single
+    _assert_all_equal(result, single)
 
 
 def test_remainder_jet_filled_concurrently_matches_single_thread():
     result = _race_in_fresh_interpreter("jet")
-    assert result["errors"] == []
     single = [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS]
     single += [repr(remainder_jet(PrecisionContext(15), n, 0, 16, "0.3")) for n in JET_NS]
-    assert result["jet"] == single
+    _assert_all_equal(result, single)
 
 
 def test_kernels_filled_concurrently_match_single_thread():
     result = _race_in_fresh_interpreter("kernel")
-    assert result["errors"] == []
     single = []
     for d in KERNEL_DIGITS:
         ctx = PrecisionContext(d)
         vals = [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")]
         vals += [K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")]
         single.append(repr(vals))
-    assert result["kernel"] == single
+    _assert_all_equal(result, single)

@@ -164,15 +164,29 @@ def test_shift_sums_match_plain_mpf_sum(digits, where):
 
 @pytest.mark.parametrize("digits", [15, 30, 60])
 def test_jet_without_shift_matches_oracle(digits):
-    # at the threshold no shift is taken: the series alone gives every order
-    wctx = PrecisionContext(digits)
+    # at the working threshold the shift is its one step, z = t + 1: the
+    # series alone gives every order, and its first omitted term, at the
+    # top order's term count K, lies below 10^-digits of the value.  The
+    # same sum at the caller's digits, where no guard digits hide a count
+    # too small for the top order, meets the same tolerance
+    ctx = PrecisionContext(digits)
+    wctx = ctx.boosted(10 + 16)
     t = gammakit._threshold(wctx.digits, 16)
-    values, truncs = gammakit._jet(wctx, -1, 16, t)
-    for order, (value, trunc) in enumerate(zip(values, truncs), -1):
+    values = gammakit._stirling_jet(ctx, -1, 16, t)
+    bare = gammakit._jet1p(ctx, -1, 16, ctx.mpf(t - 1))
+    z = t + 1
+    count = gammakit._term_count(
+        gammakit._table(gammakit._stirling, 16), 1, -2 * math.log2(z), wctx.prec + gammakit._GUARD
+    )
+    for order, value in enumerate(values, -1):
         want = oracle_lngamma(digits, t) if order == -1 else oracle_psi(digits, order, t)
+        first_out = abs(gammakit._stirling(order, count)) / z ** (2 * count + order)
         with mpmath.workdps(digits + 15):
-            assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (2 - digits) * abs(want)
-            assert 0 < trunc <= mpmath.mpf(10) ** (-digits) * abs(want)
+            tol = mpmath.mpf(10) ** (2 - digits) * abs(want)
+            assert abs(mpmath.mpf(value) - want) <= tol
+            assert abs(mpmath.mpf(bare[order + 1]) - want) <= tol
+            bound = mpmath.mpf(10) ** (-digits) * abs(want)
+            assert 0 < mpmath.mpf(first_out.numerator) / first_out.denominator <= bound
 
 
 # zeros near which a relative error says nothing: ln Gamma at 1 and 2,

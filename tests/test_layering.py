@@ -3,7 +3,9 @@ every import sits at module level, and each module imports only modules
 below it in the layer order (the package ``__init__`` re-exports them all
 and is exempt).  The same reading checks that the shared boosted contexts
 stay unmutated: only ``PrecisionContext.__init__`` sets a context's
-precision, and only ``precision`` and ``cli`` build contexts."""
+precision, and only ``precision`` and ``cli`` build contexts.  A module's
+fill lock (a module-level ``threading.Lock()``) stays its own: no other
+module names it, so a table is filled only by the module that owns it."""
 
 import ast
 from pathlib import Path
@@ -73,6 +75,39 @@ def test_no_import_inside_a_function(name):
                 n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
             ]
             assert not inner, "%s imports inside %s" % (name, getattr(node, "name", "lambda"))
+
+
+def _fill_locks(tree):
+    """Names bound at module level to ``threading.Lock()``."""
+    found = set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "Lock"
+        ):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return found
+
+
+LOCKS = {name: _fill_locks(_tree(name)) for name in LAYERS}
+
+
+def test_fill_locks_are_found():
+    assert LOCKS["combinatorics"] == {"_BERNOULLI_FILL"}
+    assert LOCKS["gammakit"] == {"_FILL"}
+
+
+@pytest.mark.parametrize("name", LAYERS + ("__init__",))
+def test_no_module_names_another_modules_fill_lock(name):
+    others = set().union(*(locks for owner, locks in LOCKS.items() if owner != name))
+    named = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & others, "%s names %s" % (name, sorted(named & others))
 
 
 def _precision_setters(tree):

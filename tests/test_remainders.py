@@ -20,7 +20,6 @@ from cmlab import (
     remainder_d2,
     remainder_deriv,
     remainder_jet,
-    remainders,
     tail_limits,
 )
 
@@ -401,30 +400,33 @@ def test_laurent_coefficients_match_definition():
     # Lambda_{n,m} = G_m(t) - G_m(1+t) - head_{n,m}(t): the k = 0 shift
     # term less the leading and first n Bernoulli terms of G_m's Stirling
     # expansion at t, as exact Fractions in powers of 1/t, past the
-    # logarithms of orders 0 and -1
+    # logarithms of orders 0 and -1; n = None takes no head
     for order in range(-1, 17):
-        for n in range(31):
+        for n in [None] + list(range(31)):
             want = {}
 
             def add(k, c):
                 want[k] = want.get(k, 0) + Fraction(c)
 
-            if order >= 1:
+            if order >= 0:
+                # psi^(m)(t) - psi^(m)(1+t)
+                add(order + 1, (-1) ** (order + 1) * math.factorial(order))
+            if n is None:
+                pass
+            elif order >= 1:
                 sign = (-1) ** (order + 1)
-                add(order + 1, sign * math.factorial(order))  # psi^(m)(t) - psi^(m)(1+t)
                 add(order, -sign * math.factorial(order - 1))
                 add(order + 1, -sign * Fraction(math.factorial(order), 2))
                 for k in range(1, n + 1):
                     add(2 * k + order, -sign * gammakit._stirling(order, k))
             elif order == 0:
-                add(1, -1)  # psi(t) - psi(1+t)
                 add(1, Fraction(1, 2))
                 for k in range(1, n + 1):
                     add(2 * k, gammakit._stirling(0, k))
             else:
                 for k in range(1, n + 1):
                     add(2 * k - 1, -gammakit._stirling(-1, k))
-            den, terms = remainders._laurent_coeffs(order, n)
+            den, terms = gammakit._laurent_coeffs(order, n)
             assert all(isinstance(a, int) and a != 0 for _, a in terms), (order, n)
             got = {k: Fraction(a, den) for k, a in terms}
             assert got == {k: c for k, c in want.items() if c}, (order, n)
