@@ -28,7 +28,7 @@ from .errors import BracketError, DomainError, IntegrationError
 from .gammakit import ln_gamma, polygamma
 from .kernels import K_kernel, f_kernel
 from .precision import GridSpec, PrecisionContext
-from .remainders import remainder, remainder_d1, remainder_d2
+from .remainders import _MAX_DERIV, remainder, remainder_d1, remainder_d2
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -280,7 +280,13 @@ def _build_parser():
         "first_deriv_bound + resolution)",
     )
     p_deg.add_argument("--resolution", default="0.05", help="bracket width target")
-    p_deg.add_argument("--order", type=int, default=8, help="highest derivative order checked")
+    p_deg.add_argument(
+        "--order",
+        type=int,
+        default=8,
+        help="highest derivative order checked: the family's cap is %d for R:n "
+        "and %d for the others" % (_MAX_DERIV, _MAX_DERIV - 1),
+    )
     p_deg.add_argument("--grid", default="1e-10:1e3:400", help="a:b:count evaluation grid")
 
     p_ver = sub.add_parser("verify", parents=[common], help="run identity suites")

@@ -31,9 +31,8 @@ inputs were rounded), as long as a stays well inside the float range.
 Every other (j, t) pair takes the exact sum in the working precision, and
 only a negative one pays for t^(alpha-j): t^alpha times 1/t, j times over.
 
-A family with an ``eval_jet`` fills every order of a grid point from one
-call on its first miss there; any other family is asked for the missing
-order alone.
+A family answers with a jet, every order 0..J at once, so a grid point's
+first miss fills all of its orders from one call.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Callable, Optional
 
 from .errors import BracketError, DomainError
 from .precision import GridSpec, PrecisionContext
-from .remainders import remainder_jet
+from .remainders import _MAX_DERIV, remainder_jet
 
 __all__ = [
     "DEFAULT_GRID",
@@ -74,16 +73,14 @@ PROBE_GRID = GridSpec(1e-8, 1e3, 300)
 class FunctionFamily:
     """A function together with its analytic derivatives.
 
-    ``eval_deriv(ctx, j, t)`` returns the j-th derivative at t (j = 0 is
-    the function itself); the function must tend to 0 at infinity.  The
-    optional ``eval_jet(ctx, j_lo, j_hi, t)`` returns the derivatives of
-    orders j_lo..j_hi at t as a list, from one evaluation.
+    ``eval_deriv(ctx, top, t)`` returns [h(t), h'(t), ..., h^(top)(t)]
+    from one evaluation, for 0 <= top <= ``max_order``; h must tend to 0
+    at infinity.
     """
 
     name: str
     eval_deriv: Callable
-    max_order: int = 12
-    eval_jet: Optional[Callable] = None
+    max_order: int
 
 
 @dataclass
@@ -147,19 +144,16 @@ class _GridCache(dict):
 
 def _scaled_deriv(ctx, family, cache, l, idx, pts, top):
     """H_l = t^l h^(l)(t) at grid point ``idx``, through the cache.  A miss
-    fills orders 0..``top`` there from one jet when the family has one."""
+    fills orders 0..``top`` there from one jet."""
     key = (l, idx)
     val = cache.get(key)
     if val is None:
         t = pts[idx]
-        if family.eval_jet is None:
-            val = cache[key] = ctx.mpf(family.eval_deriv(ctx, l, t)) * t**l
-        else:
-            tl = ctx.mpf(1)
-            for i, h in enumerate(family.eval_jet(ctx, 0, top, t)):
-                cache.setdefault((i, idx), ctx.mpf(h) * tl)
-                tl *= t
-            val = cache[key]
+        tl = ctx.mpf(1)
+        for i, h in enumerate(family.eval_deriv(ctx, top, t)):
+            cache.setdefault((i, idx), ctx.mpf(h) * tl)
+            tl *= t
+        val = cache[key]
     return val
 
 
@@ -347,31 +341,23 @@ def degree_estimate(
 # -- built-in families ------------------------------------------------
 
 
-def _jet_family(name, eval_jet, max_order=12):
-    """The family of ``eval_jet``; ``eval_deriv`` is its one-order case."""
-    def eval_deriv(ctx, j, t):
-        return eval_jet(ctx, j, j, t)[0]
-
-    return FunctionFamily(name, eval_deriv, max_order=max_order, eval_jet=eval_jet)
-
-
-def _lnminuspsi_jet(ctx, j_lo, j_hi, t):
+def _lnminuspsi_jet(ctx, top, t):
     """ln t - psi(t) = 1/(2t) - R_0'(t): its j-th derivative is
     (-1)^j j!/(2 t^(j+1)) - R_0^(j+1)(t), and (-1)^j times it is a sum of
     two positive terms, as both parts are completely monotonic."""
     t = ctx.mpf(t)
-    rs = remainder_jet(ctx, 0, j_lo + 1, j_hi + 1, t)
-    return [(-1) ** j * math.factorial(j) / (2 * t ** (j + 1)) - r for j, r in enumerate(rs, j_lo)]
+    rs = remainder_jet(ctx, 0, 1, top + 1, t)
+    return [(-1) ** j * math.factorial(j) / (2 * t ** (j + 1)) - r for j, r in enumerate(rs)]
 
 
-def _remainder_family(name, n, m, max_order=12):
+def _remainder_family(name, n, m):
     """The family (-1)^m R_n^(m), whose j-th derivative is (-1)^m R_n^(m+j)."""
     sign = -1 if m % 2 else 1
 
-    def eval_jet(ctx, j_lo, j_hi, t):
-        return [sign * v for v in remainder_jet(ctx, n, m + j_lo, m + j_hi, t)]
+    def eval_deriv(ctx, top, t):
+        return [sign * v for v in remainder_jet(ctx, n, m, m + top, t)]
 
-    return _jet_family(name, eval_jet, max_order)
+    return FunctionFamily(name, eval_deriv, _MAX_DERIV - m)
 
 
 def builtin_families() -> dict:
@@ -379,10 +365,13 @@ def builtin_families() -> dict:
 
     ``lnminuspsi`` is ln t - psi(t) (degree 1); ``phi``/``negR1prime``
     are both -R_1' (degree 2); ``R:n`` and ``negRprime:n`` for n = 0..6
-    are R_n and -R_n'.  All tend to 0 at infinity.
+    are R_n and -R_n'.  All tend to 0 at infinity.  The j-th derivative
+    of (-1)^m R_n^(m) reads R_n^(m+j), and that of ``lnminuspsi`` reads
+    R_0^(j+1), so ``max_order`` is remainders' one cap ``_MAX_DERIV``
+    less m, or less 1.
     """
     fams = {
-        "lnminuspsi": _jet_family("lnminuspsi", _lnminuspsi_jet),
+        "lnminuspsi": FunctionFamily("lnminuspsi", _lnminuspsi_jet, _MAX_DERIV - 1),
         "phi": _remainder_family("phi", 1, 1),
         "negR1prime": _remainder_family("negR1prime", 1, 1),
     }
@@ -412,7 +401,7 @@ def conjecture_probe(
         raise DomainError("conjecture_probe supports 0 <= m <= 4, got %r" % (m,))
     n = int(n)
     m = int(m)
-    fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m, max_order=12 - m)
+    fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m)
     if grid is None:
         grid = PROBE_GRID
     bracket = degree_estimate(ctx, fam, resolution=resolution, order=order, grid=grid)

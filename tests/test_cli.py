@@ -218,6 +218,18 @@ def test_degree_unreachable_resolution_exit_code(capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+def test_degree_order_reaches_the_family_cap(capsys):
+    # phi = -R_1' reads R_1^(j+1), so its cap is one below remainders'
+    argv = ["degree", "--fn", "phi", "--grid", "1e-3:1e3:30", "--digits", "20"]
+    code, out = run(capsys, argv + ["--order", "15"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["order_used"] == 15
+    assert float(result["failed_alpha"]) >= 2
+    assert main(argv + ["--order", "16"]) == 3
+    assert "up to order 15" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,name", [("--alpha-lo", "alpha_lo"), ("--alpha-hi", "alpha_hi")])
 def test_degree_infinite_end_is_a_domain_error(capsys, flag, name):
     # named as a non-finite end, not as a resolution below the spacing

@@ -20,34 +20,44 @@ from cmlab import (
     first_deriv_bound,
 )
 from cmlab.cmdegree import _scaled_deriv
+from cmlab.remainders import _MAX_DERIV, remainder_deriv
 
 COARSE = GridSpec(1e-6, 1e3, 60)
+
+
+def family(name, deriv, max_order=12):
+    """The family whose jet to order ``top`` is deriv(ctx, j, t), j <= top."""
+
+    def eval_deriv(ctx, top, t):
+        return [deriv(ctx, j, t) for j in range(top + 1)]
+
+    return FunctionFamily(name, eval_deriv, max_order)
 
 
 def exp_family():
     # e^{-t}: completely monotonic, but t^alpha e^{-t} already fails
     # monotonicity for any alpha > 0, so its degree is 0
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         val = ctx.exp(-t)
         return val if j % 2 == 0 else -val
 
-    return FunctionFamily("exp-decay", eval_deriv)
+    return family("exp-decay", deriv)
 
 
 def inverse_family():
     # 1/t: t^alpha / t is completely monotonic exactly for alpha <= 1
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         return (-1) ** j * math.factorial(j) * ctx.mpf(t) ** (-j - 1)
 
-    return FunctionFamily("inverse", eval_deriv)
+    return family("inverse", deriv)
 
 
 def increasing_family():
     # 1 - e^{-t} grows, so -t h'/h < 0 everywhere and even alpha = 0 fails
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         return -ctx.expm1(-t) if j == 0 else (-1) ** (j + 1) * ctx.exp(-t)
 
-    return FunctionFamily("increasing", eval_deriv)
+    return family("increasing", deriv)
 
 
 def test_builtin_families_catalog():
@@ -59,6 +69,27 @@ def test_builtin_families_catalog():
     for name, fam in fams.items():
         assert isinstance(fam, FunctionFamily)
         assert fam.name == name
+
+
+#: (n, m) of each built-in family (-1)^m R_n^(m)
+REMAINDER_FAMILIES = {"phi": (1, 1), "negR1prime": (1, 1)}
+REMAINDER_FAMILIES.update(("R:%d" % n, (n, 0)) for n in range(7))
+REMAINDER_FAMILIES.update(("negRprime:%d" % n, (n, 1)) for n in range(7))
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_FAMILIES))
+def test_builtin_family_max_order_is_the_remainder_cap(name):
+    # (-1)^m R_n^(m) reads R_n^(m+j) for its j-th derivative, so it
+    # reaches remainders' cap at j = _MAX_DERIV - m; its jet's top order
+    # is R_n^(_MAX_DERIV) itself, below and above the tail switch
+    n, m = REMAINDER_FAMILIES[name]
+    ctx = PrecisionContext(30)
+    fam = builtin_families()[name]
+    assert fam.max_order == _MAX_DERIV - m
+    for t in (ctx.mpf("0.75"), ctx.mpf(200)):
+        jet = fam.eval_deriv(ctx, fam.max_order, t)
+        assert len(jet) == fam.max_order + 1
+        assert jet[-1] == (-1) ** m * remainder_deriv(ctx, n, m + fam.max_order, t)
 
 
 def test_phi_is_negR1prime():
@@ -109,17 +140,21 @@ def test_cm_check_lnminuspsi():
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_lnminuspsi_derivs_match_mpmath_oracle(digits):
-    # h = ln t - psi(t) and its derivatives h^(j), j <= 8, against mpmath's
-    # psi^(j) at enough extra digits to absorb ln t - psi(t) ~ 1/(2t):
-    # relative 10^-(digits-3) also at t = 1e12, where ln t - psi cancels
+    # h = ln t - psi(t) and its derivatives h^(j), j <= max_order, from
+    # one jet, against mpmath's psi^(j) at enough extra digits to absorb
+    # ln t - psi(t) ~ 1/(2t): relative 10^-(digits-3) also at t = 1e12,
+    # where ln t - psi cancels.  h = 1/(2t) - R_0'(t) reads R_0^(j+1) for
+    # its j-th derivative, so it stops one below remainders' cap
     ctx = PrecisionContext(digits)
     fam = builtin_families()["lnminuspsi"]
+    top = fam.max_order
+    assert top == _MAX_DERIV - 1
     points = (1e-8, 0.5, 40, 1e6, 1e12)
     want = {}
     with mpmath.workdps(digits + 40):
         for t in points:
             tv = mpmath.mpf(t)
-            for j in range(9):
+            for j in range(top + 1):
                 lead = mpmath.ln(tv) if j == 0 else (-1) ** (j - 1) * mpmath.factorial(j - 1) / tv**j
                 want[j, t] = lead - mpmath.polygamma(j, tv)
 
@@ -127,12 +162,11 @@ def test_lnminuspsi_derivs_match_mpmath_oracle(digits):
         with mpmath.workdps(digits + 10):
             return abs(mpmath.mpf(got) - want[j, t]) > mpmath.mpf(10) ** (3 - digits) * abs(want[j, t])
 
-    failures = [(j, t) for t in points for j in range(9) if off(fam.eval_deriv(ctx, j, t), j, t)]
-    assert not failures, failures
-    # the jet of orders 0..8 at once
+    failures = []
     for t in points:
-        jet = fam.eval_jet(ctx, 0, 8, t)
-        failures += [("jet", j, t) for j in range(9) if off(jet[j], j, t)]
+        jet = fam.eval_deriv(ctx, top, t)
+        assert len(jet) == top + 1
+        failures += [(j, t) for j in range(top + 1) if off(jet[j], j, t)]
     assert not failures, failures
 
 
@@ -155,7 +189,7 @@ def test_cm_check_validation():
     with pytest.raises(DomainError):
         cm_check(ctx, fam, -0.5, grid=COARSE)
     with pytest.raises(DomainError):
-        cm_check(ctx, fam, 1, order=13, grid=COARSE)
+        cm_check(ctx, fam, 1, order=fam.max_order + 1, grid=COARSE)
     with pytest.raises(DomainError):
         cm_check(ctx, "lnminuspsi", 1, grid=COARSE)
 
@@ -171,10 +205,10 @@ def test_first_deriv_bound_lnminuspsi():
 def test_first_deriv_bound_needs_positive_values():
     ctx = PrecisionContext(30)
 
-    def eval_deriv(ctx_, j, t):
+    def deriv(ctx_, j, t):
         return -ctx_.exp(-t) if j % 2 == 0 else ctx_.exp(-t)
 
-    fam = FunctionFamily("negative", eval_deriv)
+    fam = family("negative", deriv)
     with pytest.raises(DomainError):
         first_deriv_bound(ctx, fam, grid=GridSpec(0.1, 10, 10))
 
@@ -254,46 +288,35 @@ def test_degree_estimate_rejects_unreachable_resolution_before_evaluating():
     ctx = PrecisionContext(20)
     calls = []
 
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         calls.append((j, t))
         return (-1) ** j * math.factorial(j) * ctx.mpf(t) ** (-j - 1)
 
-    fam = FunctionFamily("counted-inverse", eval_deriv)
+    fam = family("counted-inverse", deriv)
     for hi in (2, None):
         with pytest.raises(DomainError, match="resolution"):
             degree_estimate(ctx, fam, 0, hi, resolution="1e-30", order=2, grid=COARSE)
     assert calls == []
 
 
-def counted(family, jets, derivs):
-    """``family`` with every jet and single-order call recorded."""
+def counted(fam, calls):
+    """``fam`` with every jet call recorded as (top, t)."""
 
-    def eval_deriv(ctx, j, t):
-        derivs.append((j, t))
-        return family.eval_deriv(ctx, j, t)
+    def eval_deriv(ctx, top, t):
+        calls.append((top, t))
+        return fam.eval_deriv(ctx, top, t)
 
-    def eval_jet(ctx, j_lo, j_hi, t):
-        jets.append((j_lo, j_hi, t))
-        return family.eval_jet(ctx, j_lo, j_hi, t)
-
-    return FunctionFamily(family.name, eval_deriv, family.max_order, eval_jet=eval_jet)
+    return FunctionFamily(fam.name, eval_deriv, fam.max_order)
 
 
 def test_degree_estimate_fills_cache_with_one_jet_per_point():
     ctx = PrecisionContext(30)
-    fam = builtin_families()["negRprime:2"]
-    jets, derivs = [], []
-    bracket = degree_estimate(
-        ctx, counted(fam, jets, derivs), resolution=0.1, order=6, grid=COARSE
+    calls = []
+    degree_estimate(
+        ctx, counted(builtin_families()["negRprime:2"], calls), resolution=0.1, order=6, grid=COARSE
     )
-    assert derivs == []
-    assert [(lo, hi) for lo, hi, _ in jets] == [(0, 6)] * COARSE.count
-    assert [t for _, _, t in jets] == COARSE.points(ctx)
-    # the same bracket as the family's own derivatives give one at a time
-    single = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
-    other = degree_estimate(ctx, single, resolution=0.1, order=6, grid=COARSE)
-    assert (bracket.passed_alpha, bracket.failed_alpha) == (other.passed_alpha, other.failed_alpha)
-    assert abs(bracket.first_deriv_bound - other.first_deriv_bound) < ctx.mpf(10) ** (-25)
+    assert [top for top, _ in calls] == [6] * COARSE.count
+    assert [t for _, t in calls] == COARSE.points(ctx)
 
 
 def test_degree_estimate_builds_grid_points_once(monkeypatch):
@@ -308,19 +331,6 @@ def test_degree_estimate_builds_grid_points_once(monkeypatch):
     monkeypatch.setattr(GridSpec, "points", counted_points)
     degree_estimate(ctx, builtin_families()["negRprime:2"], resolution=0.1, order=4, grid=COARSE)
     assert calls == [COARSE]
-
-
-def test_cm_check_jet_and_single_orders_agree():
-    # the jet path and the one-order path fill the same scaled cache
-    ctx = PrecisionContext(30)
-    fam = builtin_families()["negRprime:3"]
-    single = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
-    for alpha in ("5", "5.9", "6.5"):
-        a = cm_check(ctx, fam, alpha, order=6, grid=COARSE)
-        b = cm_check(ctx, single, alpha, order=6, grid=COARSE)
-        assert (a.passed, a.order, a.t) == (b.passed, b.order, b.t)
-        if not a.passed:
-            assert abs(a.value - b.value) <= ctx.mpf(10) ** (-25) * abs(b.value)
 
 
 PROBE_SMALL = GridSpec(1e-8, 1e3, 120)
@@ -397,15 +407,12 @@ BOTH_SIDES = {
 }
 
 
-@pytest.mark.parametrize("jet", [True, False], ids=["jet", "per-order"])
-@pytest.mark.parametrize("name", sorted(BOTH_SIDES))
-def test_cm_check_verdicts_match_all_mpf_reference(name, jet):
+@pytest.mark.parametrize("name", sorted(BOTH_SIDES), ids="{}-jet".format)
+def test_cm_check_verdicts_match_all_mpf_reference(name):
     # the float filter only skips pairs whose exact sum is positive, so
     # every verdict and witness is the all-mpf loop's, bit for bit
     ctx = PrecisionContext(30)
     fam = builtin_families()[name]
-    if not jet:
-        fam = FunctionFamily(fam.name, fam.eval_deriv, fam.max_order)
     cache, ref_cache = {}, {}
     seen = set()
     for alpha in BOTH_SIDES[name]:
@@ -431,11 +438,11 @@ def test_cm_check_matches_reference_beyond_float_range(alpha):
 def test_cm_check_matches_reference_on_cancelling_sums():
     # h = t^-2 at alpha = 2: g = 1, so every sum of order j >= 1 is a
     # cancellation down to rounding, which the float filter cannot sign
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         return (-1) ** j * math.factorial(j + 1) * ctx.mpf(t) ** (-j - 2)
 
     ctx = PrecisionContext(30)
-    fam = FunctionFamily("inverse-square", eval_deriv)
+    fam = family("inverse-square", deriv)
     got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
     want = reference_cm_check(ctx, fam, 2, 8, COARSE, {})
     assert verdict(got) == verdict(want)
@@ -446,12 +453,12 @@ def test_cm_check_matches_reference_below_float_resolution(beta):
     # h = t^-beta at alpha = beta + 1e-18: g = t^(1e-18) fails the j = 1
     # check by about 1e-18/t, a relative 1e-18 of the sum's terms, so
     # the float sums are rounding noise of either sign
-    def eval_deriv(ctx, j, t):
+    def deriv(ctx, j, t):
         b = ctx.mpf(beta)
         return math.prod(-(b + i) for i in range(j)) * ctx.power(t, -b - j)
 
     ctx = PrecisionContext(30)
-    fam = FunctionFamily("power", eval_deriv)
+    fam = family("power", deriv)
     alpha = ctx.mpf(beta) + ctx.mpf("1e-18")
     got = cm_check(ctx, fam, alpha, order=4, grid=COARSE)
     want = reference_cm_check(ctx, fam, alpha, 4, COARSE, {})
