@@ -128,7 +128,7 @@ def _parse_points(ctx, grid_str: str):
     a, b, count = _split_grid(grid_str)
     if count < 1:
         raise UsageError("--grid needs count >= 1, got %d" % count)
-    if count == 1 or float(a) == float(b):
+    if count == 1 or ctx.mpf(a) == ctx.mpf(b):
         return [ctx.mpf(a)]
     return GridSpec(a, b, count).points(ctx)
 

@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, check_int
 from .precision import GridSpec, PrecisionContext
 from .remainders import _MAX_DERIV, remainder_jet
 
@@ -180,9 +180,7 @@ def cm_check(
     """
     if not isinstance(family, FunctionFamily):
         raise DomainError("cm_check needs a FunctionFamily, got %r" % (family,))
-    if int(order) != order or order < 0:
-        raise DomainError("derivative order must be a nonnegative integer, got %r" % (order,))
-    order = int(order)
+    order = check_int(order, "derivative order")
     if order > family.max_order:
         raise DomainError(
             "family %s supplies derivatives up to order %d, requested %d"
@@ -301,9 +299,7 @@ def degree_estimate(
     for name, end in (("alpha_lo", lo), ("alpha_hi", hi)):
         if end is not None and not ctx.isfinite(end):
             raise DomainError("%s must be finite, got %s" % (name, end))
-    res = ctx.mpf(resolution)
-    if not res > 0:
-        raise DomainError("resolution must be positive, got %s" % res)
+    res = ctx.positive(resolution, "degree_estimate", "resolution")
     if hi is not None and not lo < hi:
         raise DomainError("need alpha_lo < alpha_hi, got %s >= %s" % (lo, alpha_hi))
     _check_resolution(ctx, res, lo, hi)
@@ -395,12 +391,8 @@ def conjecture_probe(
     with proved degrees (small n, m) are certificates; everything else is
     a finite-grid observation, and the log record says so.
     """
-    if int(n) != n or not 0 <= n <= 6:
-        raise DomainError("conjecture_probe supports 0 <= n <= 6, got %r" % (n,))
-    if int(m) != m or not 0 <= m <= 4:
-        raise DomainError("conjecture_probe supports 0 <= m <= 4, got %r" % (m,))
-    n = int(n)
-    m = int(m)
+    n = check_int(n, "conjecture_probe n", 0, 6)
+    m = check_int(m, "conjecture_probe m", 0, 4)
     fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m)
     if grid is None:
         grid = PROBE_GRID

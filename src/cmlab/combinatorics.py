@@ -27,7 +27,7 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import check_int
 
 __all__ = ["bernoulli", "stirling2", "zeta_even"]
 
@@ -91,9 +91,7 @@ def bernoulli(n: int) -> Fraction:
     ``extend`` under ``_BERNOULLI_FILL``, so a reader that takes no lock
     never finds a partial entry.
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError("bernoulli requires n >= 0, got %d" % n)
+    n = check_int(n, "bernoulli index n")
     if len(_BERNOULLI) <= n:
         with _BERNOULLI_FILL:
             have = len(_BERNOULLI)
@@ -111,12 +109,8 @@ def stirling2(k: int, p: int) -> Fraction:
     The value is integer-valued but returned as a Fraction for uniformity
     with the other exact sequences.
     """
-    k = int(k)
-    p = int(p)
-    if k < 1:
-        raise DomainError("stirling2 requires k >= 1, got %d" % k)
-    if not 1 <= p <= k:
-        raise DomainError("stirling2 requires 1 <= p <= k, got p=%d, k=%d" % (p, k))
+    k = check_int(k, "stirling2 k", 1)
+    p = check_int(p, "stirling2 p", 1, k)
     total = 0
     for q in range(1, p + 1):
         term = comb(p, q) * q**k
@@ -134,9 +128,7 @@ def zeta_even(n: int) -> tuple[Fraction, int]:
     q_n = (-1)^{n+1} B_{2n} 2^{2n-1} / (2n)!  (Euler's evaluation).
     Example: n=1 -> (1/6, 2), n=2 -> (1/90, 4).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("zeta_even requires n >= 1, got %d" % n)
+    n = check_int(n, "zeta_even n", 1)
     sign = 1 if n % 2 == 1 else -1
     num = sign * bernoulli(2 * n) * Fraction(2) ** (2 * n - 1)
     fact = Fraction(1)

@@ -95,7 +95,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import bernoulli
-from .errors import DomainError
+from .errors import check_int
 from .precision import PrecisionContext
 
 __all__ = ["GammaEval", "ln_gamma", "polygamma"]
@@ -428,9 +428,7 @@ def ln_gamma(ctx: PrecisionContext, t) -> GammaEval:
 
 def polygamma(ctx: PrecisionContext, m: int, t) -> GammaEval:
     """psi^(m)(t) for integer m >= 0 and t > 0 (m = 0 is psi itself)."""
-    if int(m) != m or m < 0:
-        raise DomainError("polygamma requires integer m >= 0, got %r" % (m,))
-    m = int(m)
+    m = check_int(m, "polygamma order m")
     ctx.positive(t, "polygamma")
     (val,) = _stirling_jet(ctx, m, m, t)
     return _wrap(ctx, t, m, val)

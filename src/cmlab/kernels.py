@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import bernoulli, stirling2
-from .errors import DomainError
+from .errors import check_int
 from .gammakit import _frac_coeffs, _log2, _series, _table
 from .precision import GridSpec, PrecisionContext
 
@@ -68,9 +68,7 @@ def _closed_boost(m_like: int, v: float) -> int:
 def f_kernel(ctx: PrecisionContext, n: int, v):
     """Evaluate f_n(v) for integer n >= 0 and v > 0 (series below v = 1/2,
     closed form above)."""
-    if int(n) != n or n < 0:
-        raise DomainError("f_kernel requires integer n >= 0, got %r" % (n,))
-    return _f_deriv(ctx, int(n), 0, v)
+    return _f_deriv(ctx, check_int(n, "f_kernel n"), 0, v)
 
 
 def _f_deriv(ctx, n, ell, v):
@@ -123,9 +121,7 @@ def bose_derivative(ctx: PrecisionContext, k: int, v):
 
     All inner terms share one sign, so there is no cancellation.
     """
-    if int(k) != k or k < 0:
-        raise DomainError("bose_derivative requires integer k >= 0, got %r" % (k,))
-    k = int(k)
+    k = check_int(k, "bose_derivative order k")
     v0 = ctx.positive(v, "bose_derivative", "v")
     u = 1 / ctx.expm1(v0)
     if k == 0:
@@ -143,9 +139,7 @@ def K_kernel(ctx: PrecisionContext, m: int, v):
     Closed form for v >= 1/2 (derivative of 1/v exactly, Bose factor via
     the Stirling identity); termwise-differentiated Taylor series below.
     """
-    if int(m) != m or m < 1:
-        raise DomainError("K_kernel requires integer m >= 1, got %r" % (m,))
-    m = int(m)
+    m = check_int(m, "K_kernel order m", 1)
     # K_m = (-1)^n f_n^(m) with n = (m+1)//2: the falling factorials in
     # f_n^(m) kill every k < n term, and for odd m = 2n-1 the k = n term is
     # exactly the added constant, while for even m it vanishes too
@@ -226,9 +220,7 @@ class SignReport:
 
 def sign_scan(ctx: PrecisionContext, m: int, grid: GridSpec) -> SignReport:
     """Scan K_m over the grid and report extremes and sign structure."""
-    if int(m) != m or m < 1:
-        raise DomainError("sign_scan requires integer m >= 1, got %r" % (m,))
-    m = int(m)
+    m = check_int(m, "sign_scan order m", 1)
     if m % 2 == 1:
         n = (m + 1) // 2
         mult = 1 if n % 2 == 1 else -1

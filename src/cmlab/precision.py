@@ -23,7 +23,7 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = ["PrecisionContext", "GridSpec"]
 
@@ -50,12 +50,7 @@ class PrecisionContext:
     """
 
     def __init__(self, digits: int = 50):
-        digits = int(digits)
-        if digits < MIN_DIGITS:
-            raise DomainError(
-                "PrecisionContext requires digits >= %d, got %d" % (MIN_DIGITS, digits)
-            )
-        self.digits = digits
+        self.digits = digits = check_int(digits, "PrecisionContext digits", MIN_DIGITS)
         self._mp = MPContext()
         self._mp.dps = digits
 
@@ -103,7 +98,7 @@ class PrecisionContext:
         change its precision: every value made under it rounds to that
         context's current precision, whoever is using it.
         """
-        digits = self.digits + max(0, int(extra_digits))
+        digits = self.digits + max(0, extra_digits)
         shared = _SHARED.by_digits
         ctx = shared.get(digits)
         if ctx is None:
@@ -157,6 +152,15 @@ class PrecisionContext:
         return value
 
 
+def _exact(x) -> Fraction:
+    """A grid end as an exact rational, so that 1e-400 stays above 0; a
+    DomainError if it is not a finite number."""
+    try:
+        return Fraction(str(x))
+    except ValueError:
+        raise DomainError("GridSpec requires finite numeric ends, got %r" % (x,))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A log-spaced evaluation grid on (0, inf)."""
@@ -166,18 +170,18 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
-        if float(self.t_min) <= 0:
+        lo, hi = _exact(self.t_min), _exact(self.t_max)
+        if lo <= 0:
             raise DomainError("GridSpec requires t_min > 0, got %s" % (self.t_min,))
-        if not float(self.t_min) < float(self.t_max):
+        if not lo < hi:
             raise DomainError(
                 "GridSpec requires t_min < t_max, got [%s, %s]" % (self.t_min, self.t_max)
             )
-        if int(self.count) < 2:
-            raise DomainError("GridSpec requires count >= 2, got %s" % (self.count,))
+        object.__setattr__(self, "count", check_int(self.count, "GridSpec count", 2))
 
     def points(self, ctx: PrecisionContext):
         lo = ctx.ln(ctx.mpf(self.t_min))
         hi = ctx.ln(ctx.mpf(self.t_max))
-        n = int(self.count)
+        n = self.count
         step = (hi - lo) / (n - 1)
         return [ctx.exp(lo + k * step) for k in range(n)]

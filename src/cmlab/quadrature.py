@@ -39,7 +39,7 @@ from typing import Callable
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.ctx_mp import MPContext
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, check_int
 from .gammakit import _GUARD, _fixed_coeffs, _log2, _table, _term_count
 from .kernels import _taylor
 from .precision import PrecisionContext
@@ -77,7 +77,7 @@ class _Budget:
     """Mutable evaluation counter shared by the panels of one integral."""
 
     def __init__(self, limit: int):
-        self.limit = int(limit)
+        self.limit = check_int(limit, "evaluation budget")
         self.used = 0
 
     def spend(self, n: int):
@@ -232,10 +232,8 @@ def laplace(
     the tolerance.  ``kernel_bound``, when given, is a caller-supplied
     uniform bound on |kernel| that replaces the sampling.
     """
-    t = ctx.mpf(t)
-    if t <= 0:
-        raise DomainError("laplace requires t > 0, got %s" % t)
-    tol = ctx.mpf(tol)
+    t = ctx.positive(t, "laplace")
+    tol = ctx.positive(tol, "laplace", "tol")
     bud = _Budget(budget)
 
     def integrand(v):
@@ -264,9 +262,9 @@ def _laplace_tail(ctx, kernel, t, b, bud, kernel_bound):
     if vals[0] == 0 or vals[-1] == 0:
         deg = 0
     else:
-        ratio = float(vals[-1] / vals[0])
-        span = float(pts[-1] / pts[0])
-        deg = max(0, math.ceil(math.log(max(ratio, 1e-300)) / math.log(span)) + 1)
+        # from binary exponents: the samples may span more than a float's range
+        growth = _log2(ctx.mpf(vals[-1])) - _log2(ctx.mpf(vals[0]))
+        deg = max(0, math.ceil(growth / _log2(pts[-1] / pts[0])) + 1)
     # decay must already dominate the growth, with margin, before we trust
     # the envelope int_b^inf (v/b)^deg e^{-tv} dv <= e^{-tb}/(t - deg/b)
     if float(t * b) <= 2 * deg + 1:
@@ -286,10 +284,8 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
     [0, 1/8] is summed through the Bernoulli generating-function series
     instead, to the working precision.
     """
-    s = ctx.mpf(s)
-    if s <= 0:
-        raise DomainError("bose_moment requires s > 0, got %s" % s)
-    tol = ctx.mpf(tol)
+    s = ctx.positive(s, "bose_moment", "s")
+    tol = ctx.positive(tol, "bose_moment", "tol")
     bud = _Budget(budget)
     two_pi = 2 * ctx.pi
 
@@ -357,14 +353,14 @@ def cos_kernel_integral(
     is read and filled only for v <= pi, where the panels are the unit
     panels that every such v shares; above pi the nodes depend on v.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("cos_kernel_integral requires n >= 1, got %d" % n)
+    n = check_int(n, "cos_kernel_integral n", 1)
+    tol = ctx.positive(tol, "cos_kernel_integral", "tol")
+    bud = _Budget(budget)
     v = ctx.mpf(v)
-    if v < 0:
-        raise DomainError("cos_kernel_integral requires v >= 0, got %s" % v)
     if v == 0:
         return IntegralResult(ctx.mpf(0), ctx.mpf(0), 0)
+    # the message reads "requires finite v = 0 or v > 0"
+    v = ctx.positive(v, "cos_kernel_integral", "v = 0 or v")
     two_pi = 2 * ctx.pi
     p = 2 * n - 1
     # one call never visits a node twice; only the unit panels of v <= pi
@@ -381,10 +377,9 @@ def cos_kernel_integral(
         sh = ctx.sin(w * v / 2)
         return pw * 2 * sh * sh / em
 
-    tol = ctx.mpf(tol)
     panels = _half_period_panels(ctx, v, p, two_pi, tol)
     tail = _envelope_tail(ctx, p, two_pi, amp=2)
-    return _march(ctx, integrand, panels, tail, tol, _Budget(budget), degree=4)
+    return _march(ctx, integrand, panels, tail, tol, bud, degree=4)
 
 
 def sin_kernel_integral(
@@ -396,20 +391,19 @@ def sin_kernel_integral(
     so panel contributions alternate in sign once u^p/(e^u-1) decays; the
     cutoff uses the exponential envelope, which needs no sign argument.
     """
-    p = int(p)
-    if p < 2 or p % 2 != 0:
-        raise DomainError("sin_kernel_integral requires even p >= 2, got %d" % p)
-    s = ctx.mpf(s)
-    if s <= 0:
-        raise DomainError("sin_kernel_integral requires s > 0, got %s" % s)
+    p = check_int(p, "sin_kernel_integral p", 2)
+    if p % 2:
+        raise DomainError("sin_kernel_integral requires even p, got %d" % p)
+    s = ctx.positive(s, "sin_kernel_integral", "s")
+    tol = ctx.positive(tol, "sin_kernel_integral", "tol")
+    bud = _Budget(budget)
 
     def integrand(u):
         return ctx.power(u, p) * ctx.sin(s * u) / ctx.expm1(u)
 
-    tol = ctx.mpf(tol)
     panels = _half_period_panels(ctx, s, p, 1, tol)
     tail = _envelope_tail(ctx, p, 1)
-    return _march(ctx, integrand, panels, tail, tol, _Budget(budget), degree=4)
+    return _march(ctx, integrand, panels, tail, tol, bud, degree=4)
 
 
 def _estimate_panels(tol, p, rate, width):

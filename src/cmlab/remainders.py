@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import bernoulli
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .gammakit import _stirling_jet
 from .precision import PrecisionContext
 
@@ -45,40 +45,27 @@ _MAX_N = 30
 _MAX_DERIV = 16
 
 
-def _check_n(n) -> int:
-    if int(n) != n or n < 0 or n > _MAX_N:
-        raise DomainError("truncation order n must be an integer in [0, %d], got %r" % (_MAX_N, n))
-    return int(n)
-
-
 def remainder(ctx: PrecisionContext, n, t):
     """R_n(t) = (-1)^n A_n(t); strictly positive on (0, inf)."""
     return remainder_deriv(ctx, n, 0, t)
 
 
-def _check_j(j) -> int:
-    if int(j) != j or j < 0 or j > _MAX_DERIV:
-        raise DomainError("derivative order j must be an integer in [0, %d], got %r" % (_MAX_DERIV, j))
-    return int(j)
-
-
 def remainder_jet(ctx: PrecisionContext, n, j_lo: int, j_hi: int, t):
-    """[R_n^(j_lo)(t), ..., R_n^(j_hi)(t)] for 0 <= j_lo <= j_hi <= 16.
+    """[R_n^(j_lo)(t), ..., R_n^(j_hi)(t)] for 0 <= j_lo <= j_hi <= _MAX_DERIV.
 
     One working context, at the digits the hardest member j_hi needs, and
     one set of Stirling sums serve every order.
     """
-    n = _check_n(n)
-    j_lo, j_hi = _check_j(j_lo), _check_j(j_hi)
-    if j_lo > j_hi:
-        raise DomainError("need j_lo <= j_hi, got %d > %d" % (j_lo, j_hi))
+    n = check_int(n, "truncation order n", 0, _MAX_N)
+    j_hi = check_int(j_hi, "derivative order j_hi", 0, _MAX_DERIV)
+    j_lo = check_int(j_lo, "derivative order j_lo", 0, j_hi)
     t0 = ctx.positive(t, "remainder evaluation")
     values = _stirling_jet(ctx, j_lo - 1, j_hi - 1, t0, n)
     return [-v for v in values] if n % 2 else values
 
 
 def remainder_deriv(ctx: PrecisionContext, n, j: int, t):
-    """R_n^(j)(t) for 0 <= j <= 16; the degree machinery's raw material."""
+    """R_n^(j)(t) for 0 <= j <= _MAX_DERIV; the degree machinery's raw material."""
     return remainder_jet(ctx, n, j, j, t)[0]
 
 
@@ -95,7 +82,6 @@ def remainder_d2(ctx: PrecisionContext, n, t):
 def ratio_bound(ctx: PrecisionContext, n, t):
     """-t R_n''(t)/R_n'(t), the pointwise necessary upper bound for the
     degree of -R_n'; tends to 2n as t -> 0+ for n >= 1."""
-    n = _check_n(n)
     t0 = ctx.positive(t, "remainder evaluation")
     d1, d2 = remainder_jet(ctx, n, 1, 2, t0)
     if not ctx.isfinite(d1) or d1 == 0:
@@ -135,9 +121,7 @@ class TailLimits:
 
 def tail_limits(ctx: PrecisionContext, n) -> TailLimits:
     """Evaluate the four scaled tail expressions at t = 10^6 / 10^-6."""
-    n = _check_n(n)
-    if n < 1:
-        raise DomainError("tail_limits requires n >= 1, got %d" % n)
+    n = check_int(n, "tail_limits order n", 1, _MAX_N)
     t_inf = ctx.mpf(10) ** 6
     t_zero = ctx.mpf(10) ** (-6)
     rp_inf = -remainder_d1(ctx, n, t_inf)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import combinatorics, gammakit, kernels, quadrature, remainders
-from .errors import DomainError, IntegrationError
+from .errors import IntegrationError, check_int
 from .precision import GridSpec, PrecisionContext
 
 __all__ = [
@@ -103,13 +103,9 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
     integrals with v <= pi, whose panels are the unit panels every such v
     shares; above pi the panels, and so the nodes, change with v.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("verify_degree_representation requires n >= 1, got %d" % n)
-    t = ctx.mpf(t)
-    if t <= 0:
-        raise DomainError("verify_degree_representation requires t > 0, got %s" % t)
-    tol = ctx.mpf(tol)
+    n = check_int(n, "verify_degree_representation n", 1)
+    t = ctx.positive(t, "verify_degree_representation")
+    tol = ctx.positive(tol, "verify_degree_representation", "tol")
 
     lhs = ctx.power(t, 2 * n - 1) * remainders.remainder_d1(ctx, n, t)
 
@@ -166,9 +162,7 @@ def remark3_inequalities(ctx: PrecisionContext, n: int, grid: GridSpec) -> Remar
     the Bose factor; (3) the negated form through the explicit Stirling-
     number polynomial.  Violations are report entries, not exceptions.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("remark3_inequalities requires n >= 1, got %d" % n)
+    n = check_int(n, "remark3_inequalities n", 1)
 
     q, _power = combinatorics.zeta_even(n)
     fact = math.factorial(2 * n - 1)
@@ -187,10 +181,11 @@ def remark3_inequalities(ctx: PrecisionContext, n: int, grid: GridSpec) -> Remar
     violations = []
 
     for v in grid.points(ctx):
-        # boost for the v^{-2n} cancellation in the raw closed forms
+        # boost for the v^{-2n} cancellation in the raw closed forms, from
+        # v's binary exponent: float(v) underflows below 1e-308
         extra = 0
         if v < 1:
-            extra = int(2 * n * (-math.log10(float(v)))) + 10
+            extra = int(-2 * n * gammakit._log2(v) * math.log10(2)) + 10
         wctx = ctx.boosted(extra)
         vv = wctx.mpf(v)
         mfact_w = wctx.mpf(fact)

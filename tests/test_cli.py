@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from cmlab import PrecisionContext, remainder, remainder_d1
@@ -26,6 +27,20 @@ def test_eval_single_point_csv(capsys):
     ctx = PrecisionContext(30)
     assert float(t_str) == 2.0
     assert abs(float(value_str) - float(remainder(ctx, 1, 2))) < 1e-15
+
+
+def test_eval_grid_below_the_float_range(capsys):
+    # the grid ends are compared exactly, as --t 1e-400 is
+    argv = ["eval", "--fn", "R1:1", "--grid", "1e-400:1e-300:3", "--digits", "20"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[3:]]
+    assert len(rows) == 3
+    for (t_str, value_str), exponent in zip(rows, (-400, -350, -300)):
+        t = mpmath.mpf(t_str)
+        # -R_1'(t) = 1/(12 t^2) - 1/t + O(1) as t -> 0+
+        assert abs(t / mpmath.mpf(10) ** exponent - 1) < 1e-15
+        assert abs(mpmath.mpf(value_str) * 12 * t**2 - 1) < 1e-15
 
 
 def test_eval_kernel_uses_v_column(capsys):

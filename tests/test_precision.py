@@ -162,3 +162,15 @@ def test_gridspec_points_are_log_spaced():
 def test_gridspec_validation(kwargs):
     with pytest.raises(DomainError):
         GridSpec(**kwargs)
+
+
+def test_gridspec_ends_below_the_float_range():
+    # the ends are compared exactly: 1e-400 is not 0 just because a float is
+    grid = GridSpec("1e-400", "1e-300", 3)
+    ctx = PrecisionContext(20)
+    pts = grid.points(ctx)
+    assert len(pts) == 3
+    assert abs(pts[0] / ctx.mpf("1e-400") - 1) < ctx.mpf(10) ** (-15)
+    assert abs(pts[1] / ctx.mpf("1e-350") - 1) < ctx.mpf(10) ** (-15)
+    with pytest.raises(DomainError, match="t_min < t_max"):
+        GridSpec("1e-400", "1e-401", 3)

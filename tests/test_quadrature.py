@@ -70,6 +70,21 @@ def test_laplace_of_f0_gives_half_minus_gamma():
     assert abs(res.value - expected) < ctx.mpf(10) ** (-39)
 
 
+def test_laplace_kernel_beyond_the_float_range():
+    # sampled without kernel_bound, its values span far more than a float's
+    # range; int_0^inf 1e30 e^{-(v-50)^2} e^{-v} dv
+    # = 1e30 e^{-49.75} (sqrt(pi)/2) erfc(-49.5)
+    ctx = PrecisionContext(30)
+    big = ctx.mpf("1e30")
+    res = laplace(ctx, lambda v: big * ctx.exp(-((v - 50) ** 2)), 1, ctx.mpf("1e-20"))
+    with mpmath.workdps(50):
+        half = mpmath.mpf(1) / 2
+        exact = mpmath.mpf(10) ** 30 * mpmath.exp(half / 2 - 50) * mpmath.sqrt(mpmath.pi) * half
+        exact *= mpmath.erfc(-mpmath.mpf("49.5"))
+    assert res.est_error < ctx.mpf("1e-20")
+    assert abs(res.value - exact) <= res.est_error
+
+
 def test_laplace_domain_and_budget():
     ctx = PrecisionContext(40)
     tol = ctx.mpf(10) ** (-30)

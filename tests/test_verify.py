@@ -64,6 +64,18 @@ def test_remark3_report(n, exact):
         assert lhs < report.bound
 
 
+def test_remark3_grid_below_the_float_range():
+    # the boost is read from v's binary exponent, not from float(v) = 0; as
+    # v -> 0+ routes 1 and 2 rise to the bound and route 3, their negation,
+    # falls to minus it
+    ctx = PrecisionContext(30)
+    report = remark3_inequalities(ctx, 1, GridSpec("1e-400", "1e-300", 3))
+    tol = ctx.mpf(10) ** (-25)
+    assert abs(report.max_lhs[0] - report.bound) < tol
+    assert abs(report.max_lhs[1] - report.bound) < tol
+    assert abs(report.max_lhs[2] + report.bound) < tol
+
+
 def test_remark3_domain():
     ctx = PrecisionContext(30)
     with pytest.raises(DomainError):
