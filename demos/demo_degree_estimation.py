@@ -55,9 +55,8 @@ def main():
     print("anatomy of one check: phi with alpha on both sides of 2")
     print("-" * 64)
     fam = fams["phi"]
-    cache = {}
     for alpha in ("1.9", "2.0", "2.1"):
-        res = cm_check(ctx, fam, alpha, order=6, grid=GRID, _cache=cache)
+        res = cm_check(ctx, fam, alpha, order=6, grid=GRID)
         if res.passed:
             print("alpha=%s  passes all orders" % alpha)
         else:

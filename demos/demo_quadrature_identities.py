@@ -92,6 +92,8 @@ def main():
             % (i + 1, float(rep.max_lhs[i]), float(rep.min_margin[i]), float(rep.argmin[i]))
         )
     print("  all hold: %s" % rep.all_hold)
+    print("Forms 1 and 2 are two routes to the moment; form 3 is form 2")
+    print("negated, so its line checks the lower side -bound < moment.")
 
 
 if __name__ == "__main__":

@@ -270,7 +270,7 @@ def _build_parser():
     p_deg.add_argument(
         "--fn",
         required=True,
-        help="lnminuspsi | phi | negR1prime | R:n | negRprime:n (n = 0..6)",
+        help="lnminuspsi | phi | R:n | negRprime:n (n = 0..6)",
     )
     p_deg.add_argument("--alpha-lo", default=None, help="passing endpoint (default 0)")
     p_deg.add_argument(

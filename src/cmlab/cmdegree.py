@@ -17,8 +17,8 @@ the grid reaches far into both tails by default.
 g^(j) is assembled by the Leibniz rule from exact derivatives of t^alpha
 and the family's own derivatives, so no numerical differentiation happens
 anywhere; families supply analytic derivatives to order ``max_order``.
-The derivative cache holds the scaled values H_l = t^l h^(l)(t) under the
-keys (l, grid index), so that
+The jet table of a bracket holds each grid point's scaled values
+H_l = t^l h^(l)(t) as mpfs and as their float copies, so that
 
     g^(j)(t) = t^(alpha-j) sum_i C(j,i) <alpha>_i H_(j-i)(t):
 
@@ -32,7 +32,7 @@ Every other (j, t) pair takes the exact sum in the working precision, and
 only a negative one pays for t^(alpha-j): t^alpha times 1/t, j times over.
 
 A family answers with a jet, every order 0..J at once, so a grid point's
-first miss fills all of its orders from one call.
+first need fills its whole row from one call.
 """
 
 from __future__ import annotations
@@ -134,27 +134,39 @@ def _float_or_nan(x):
     return math.nan
 
 
-class _GridCache(dict):
-    """A derivative cache that also holds its grid's points, built once."""
+class _JetTable:
+    """One family's scaled jet H_l = t^l h^(l)(t) at each point of one grid,
+    as mpfs and as their :func:`_float_or_nan` copies.  A point's first need
+    fills its row from one jet; a later, higher ``top`` appends the rest."""
 
-    def __init__(self, points):
-        super().__init__()
-        self.points = points
+    def __init__(self, ctx, family, grid):
+        self.key = (ctx, family, grid)
+        self.points = grid.points(ctx)
+        self.rows = [([], []) for _ in self.points]
+
+    def row(self, idx, top):
+        """(mpfs, floats) at grid point ``idx``, each holding H_0..H_top."""
+        hs, fs = self.rows[idx]
+        if len(hs) <= top:
+            ctx, family, _ = self.key
+            t = self.points[idx]
+            tl = ctx.mpf(1)
+            for l, h in zip(range(top + 1), family.eval_deriv(ctx, top, t), strict=True):
+                if l == len(hs):
+                    hs.append(ctx.mpf(h) * tl)
+                    fs.append(_float_or_nan(hs[-1]))
+                tl *= t
+        return hs, fs
 
 
-def _scaled_deriv(ctx, family, cache, l, idx, pts, top):
-    """H_l = t^l h^(l)(t) at grid point ``idx``, through the cache.  A miss
-    fills orders 0..``top`` there from one jet."""
-    key = (l, idx)
-    val = cache.get(key)
-    if val is None:
-        t = pts[idx]
-        tl = ctx.mpf(1)
-        for i, h in enumerate(family.eval_deriv(ctx, top, t)):
-            cache.setdefault((i, idx), ctx.mpf(h) * tl)
-            tl *= t
-        val = cache[key]
-    return val
+def _table(ctx, family, grid, table):
+    """``table``, or a new one where it is None.  A table made for another
+    context, family or grid is a :class:`DomainError`."""
+    if table is None:
+        table = _JetTable(ctx, family, grid)
+    if not (isinstance(table, _JetTable) and table.key == (ctx, family, grid)):
+        raise DomainError("_cache is no jet table of %s on this context and grid" % family.name)
+    return table
 
 
 def cm_check(
@@ -162,7 +174,7 @@ def cm_check(
     family: FunctionFamily,
     alpha,
     order: int = 8,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec = DEFAULT_GRID,
     _cache=None,
 ) -> CMCheckResult:
     """Test (-1)^j [t^alpha h]^(j) >= -10^-(digits//2) for all j <= order
@@ -171,12 +183,11 @@ def cm_check(
     A (j, t) pair whose float Leibniz sum is positive beyond its rounding
     bound passes at once; any other pair is summed exactly with
     ``ctx.dot``, and t^(alpha-j) is computed only where that sum has the
-    wrong sign.  The float sums read a per-call float copy of the cached
-    values, so verdicts and witnesses are those of the exact sums alone.
+    wrong sign.  The float sums read the float copies of the jet table's
+    rows, so verdicts and witnesses are those of the exact sums alone.
 
-    ``_cache`` may be a dict shared between calls with the same context,
-    family and grid; it memoizes the family's scaled derivative values
-    t^l h^(l)(t), which dominate the cost when scanning many alphas.
+    ``_cache`` may be a jet table of this context, family and grid, shared
+    between calls: its jets dominate the cost of scanning many alphas.
     """
     if not isinstance(family, FunctionFamily):
         raise DomainError("cm_check needs a FunctionFamily, got %r" % (family,))
@@ -189,11 +200,8 @@ def cm_check(
     alpha0 = ctx.mpf(alpha)
     if not (ctx.isfinite(alpha0) and alpha0 >= 0):
         raise DomainError("alpha must be finite and >= 0, got %s" % alpha0)
-    if grid is None:
-        grid = DEFAULT_GRID
+    table = _table(ctx, family, grid, _cache)
     tol = ctx.mpf(10) ** (-(ctx.digits // 2))
-    cache = _cache if _cache is not None else {}
-    pts = cache.points if isinstance(cache, _GridCache) else grid.points(ctx)
 
     # coef[j][i] = C(j,i) <alpha>_i, with d^i/dt^i t^alpha = <alpha>_i t^(alpha-i)
     fall = [ctx.mpf(1)]
@@ -201,23 +209,20 @@ def cm_check(
         fall.append(fall[-1] * (alpha0 - (i - 1)))
     coef = [[math.comb(j, i) * fall[i] for i in range(j + 1)] for j in range(order + 1)]
     coef_f = [[_float_or_nan(c) for c in cj] for cj in coef]
-    shadow = [[] for _ in pts]  # shadow[idx][l] = float(H_l) at point idx
 
     for j in range(order + 1):
         negate = j % 2 == 1
         cj = coef[j]
         cf = coef_f[j]
         slack = 4 * (j + 4) * _U
-        for idx, t in enumerate(pts):
-            hf = shadow[idx]
-            hf.append(_float_or_nan(_scaled_deriv(ctx, family, cache, j, idx, pts, order)))
-            prods = list(map(operator.mul, cf, reversed(hf)))
+        for idx, t in enumerate(table.points):
+            hs, hf = table.row(idx, order)
+            prods = list(map(operator.mul, cf, hf[j::-1]))
             s = sum(prods)
             a = sum(map(abs, prods))
             if (-s if negate else s) > slack * a and _TINY < a < _HUGE:
                 continue
-            hs = [_scaled_deriv(ctx, family, cache, j - i, idx, pts, order) for i in range(j + 1)]
-            dot = ctx.dot(cj, hs)
+            dot = ctx.dot(cj, hs[j::-1])
             if (-dot if negate else dot) >= 0:
                 continue
             # t^(alpha-j) as t^alpha times 1/t, j times over
@@ -236,7 +241,7 @@ def cm_check(
 def first_deriv_bound(
     ctx: PrecisionContext,
     family: FunctionFamily,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec = DEFAULT_GRID,
     _cache=None,
 ):
     """inf over the grid of -t h'(t) / h(t).
@@ -245,16 +250,13 @@ def first_deriv_bound(
     grid point, so it is a grid-certified upper bound for ``passed_alpha``
     (up to tolerance).  Points where h is not positive are skipped.
     """
-    if grid is None:
-        grid = DEFAULT_GRID
-    cache = _cache if _cache is not None else {}
-    pts = cache.points if isinstance(cache, _GridCache) else grid.points(ctx)
+    table = _table(ctx, family, grid, _cache)
     best = None
-    for idx in range(len(pts)):
-        h0 = _scaled_deriv(ctx, family, cache, 0, idx, pts, 1)
-        if not h0 > 0:
+    for idx in range(len(table.points)):
+        hs, _ = table.row(idx, 1)
+        if not hs[0] > 0:
             continue
-        val = -_scaled_deriv(ctx, family, cache, 1, idx, pts, 1) / h0
+        val = -hs[1] / hs[0]
         if best is None or val < best:
             best = val
     if best is None:
@@ -280,7 +282,7 @@ def degree_estimate(
     alpha_hi=None,
     resolution=0.05,
     order: int = 8,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec = DEFAULT_GRID,
 ) -> DegreeBracket:
     """Bisect alpha between a passing and a failing endpoint.
 
@@ -290,10 +292,11 @@ def degree_estimate(
     the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
     ``resolution``: every alpha above the bound fails the j = 1 check.  The
     returned bracket has width at most ``resolution``.  A non-finite end
-    is a :class:`DomainError`, and so is a resolution below the working
-    precision's spacing near the ends, raised before any evaluation when
-    both ends are given.
+    or an ``order`` below 1 (order 0 ignores alpha) is a :class:`DomainError`,
+    and so is a resolution below the working precision's spacing near the
+    ends, raised before any evaluation when both ends are given.
     """
+    order = check_int(order, "derivative order", 1)
     lo = ctx.mpf(alpha_lo)
     hi = None if alpha_hi is None else ctx.mpf(alpha_hi)
     for name, end in (("alpha_lo", lo), ("alpha_hi", hi)):
@@ -303,22 +306,20 @@ def degree_estimate(
     if hi is not None and not lo < hi:
         raise DomainError("need alpha_lo < alpha_hi, got %s >= %s" % (lo, alpha_hi))
     _check_resolution(ctx, res, lo, hi)
-    if grid is None:
-        grid = DEFAULT_GRID
-    cache = _GridCache(grid.points(ctx))
+    table = _JetTable(ctx, family, grid)
 
-    r_lo = cm_check(ctx, family, lo, order=order, grid=grid, _cache=cache)
+    r_lo = cm_check(ctx, family, lo, order=order, grid=grid, _cache=table)
     if not r_lo.passed:
         raise BracketError(
             "alpha_lo=%s already fails for %s: derivative %s at t=%s gave %s"
             % (lo, family.name, r_lo.order, r_lo.t, r_lo.value)
         )
-    bound = first_deriv_bound(ctx, family, grid=grid, _cache=cache)
+    bound = first_deriv_bound(ctx, family, grid=grid, _cache=table)
     if hi is None:
         hi = ctx.mpf(int(max(bound, lo) + res) + 1)
         _check_resolution(ctx, res, lo, hi)
     logger.info("degree_estimate(%s): bisecting alpha in [%s, %s]", family.name, lo, hi)
-    r_hi = cm_check(ctx, family, hi, order=order, grid=grid, _cache=cache)
+    r_hi = cm_check(ctx, family, hi, order=order, grid=grid, _cache=table)
     if r_hi.passed:
         raise BracketError(
             "alpha_hi=%s still passes for %s; the bracket must straddle the degree"
@@ -327,7 +328,7 @@ def degree_estimate(
 
     while hi - lo > res:
         mid = (lo + hi) / 2
-        if cm_check(ctx, family, mid, order=order, grid=grid, _cache=cache).passed:
+        if cm_check(ctx, family, mid, order=order, grid=grid, _cache=table).passed:
             lo = mid
         else:
             hi = mid
@@ -359,8 +360,8 @@ def _remainder_family(name, n, m):
 def builtin_families() -> dict:
     """Name -> family for the functions this package studies.
 
-    ``lnminuspsi`` is ln t - psi(t) (degree 1); ``phi``/``negR1prime``
-    are both -R_1' (degree 2); ``R:n`` and ``negRprime:n`` for n = 0..6
+    ``lnminuspsi`` is ln t - psi(t) (degree 1); ``phi`` is -R_1' (degree
+    2), as is ``negRprime:1``; ``R:n`` and ``negRprime:n`` for n = 0..6
     are R_n and -R_n'.  All tend to 0 at infinity.  The j-th derivative
     of (-1)^m R_n^(m) reads R_n^(m+j), and that of ``lnminuspsi`` reads
     R_0^(j+1), so ``max_order`` is remainders' one cap ``_MAX_DERIV``
@@ -369,7 +370,6 @@ def builtin_families() -> dict:
     fams = {
         "lnminuspsi": FunctionFamily("lnminuspsi", _lnminuspsi_jet, _MAX_DERIV - 1),
         "phi": _remainder_family("phi", 1, 1),
-        "negR1prime": _remainder_family("negR1prime", 1, 1),
     }
     for n in range(7):
         fams["R:%d" % n] = _remainder_family("R:%d" % n, n, 0)
@@ -382,7 +382,7 @@ def conjecture_probe(
     n,
     m,
     order: int = 6,
-    grid: Optional[GridSpec] = None,
+    grid: GridSpec = PROBE_GRID,
     resolution=0.1,
 ) -> DegreeBracket:
     """EXPLORATORY bracket for the degree of (-1)^m R_n^(m).
@@ -394,8 +394,6 @@ def conjecture_probe(
     n = check_int(n, "conjecture_probe n", 0, 6)
     m = check_int(m, "conjecture_probe m", 0, 4)
     fam = _remainder_family("probe:R%d^(%d)" % (n, m), n, m)
-    if grid is None:
-        grid = PROBE_GRID
     bracket = degree_estimate(ctx, fam, resolution=resolution, order=order, grid=grid)
     logger.info(
         "conjecture_probe(n=%d, m=%d): EXPLORATORY bracket [%s, %s]; "

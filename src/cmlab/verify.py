@@ -133,10 +133,10 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
 
 @dataclass
 class Remark3Report:
-    """Grid scan of the three cosine-moment bounds for one n.
+    """Grid scan of the cosine-moment bound for one n, by three routes.
 
-    Each of the three left-hand sides is computed by a structurally
-    different route; all must stay strictly below the shared bound.
+    Routes 1 and 2 are structurally different; route 3 is route 2 negated,
+    so its lhs < bound is route 2's lower side -bound < lhs.
     """
 
     n: int
@@ -153,14 +153,14 @@ class Remark3Report:
 
 
 def remark3_inequalities(ctx: PrecisionContext, n: int, grid: GridSpec) -> Remark3Report:
-    """Check, at every grid point, that three independently computed forms
-    of the oscillatory cosine moment stay strictly below
-    (2n-1)! zeta(2n) / (2 pi)^{2n} (exact rational times pi-power).
+    """Check, at every grid point, that the oscillatory cosine moment stays
+    strictly below the rational (2n-1)! zeta(2n) / (2 pi)^{2n}.
 
     Routes: (1) the assembled kernel K_{2n-1} minus its constant;
     (2) the derivative closed form -(2n-1)!/v^{2n} - (d^{2n-1}/dv^{2n-1}) of
-    the Bose factor; (3) the negated form through the explicit Stirling-
-    number polynomial.  Violations are report entries, not exceptions.
+    the Bose factor; (3) route 2 negated (its Stirling-number polynomial is
+    minus that Bose derivative), which checks route 2's lower side -bound
+    < lhs.  Violations are report entries, not exceptions.
     """
     n = check_int(n, "remark3_inequalities n", 1)
 

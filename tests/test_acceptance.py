@@ -31,6 +31,7 @@ from cmlab import (
     verify_degree_representation,
 )
 from cmlab import kernels
+from cmlab.cmdegree import _JetTable
 
 
 def _report(name, ok, detail):
@@ -272,7 +273,7 @@ def test_criterion_11_estimator_soundness():
         ("negRprime:2", 6.0),
     )
     rng = random.Random(1105)
-    caches = {name: {} for name, _cap in picks}
+    tables = {name: _JetTable(ctx, fams[name], grid) for name, _cap in picks}
     checked = 0
     implied = 0
     mono_ok = True
@@ -283,10 +284,10 @@ def test_criterion_11_estimator_soundness():
         alpha_lo = rng.uniform(0, alpha_hi)
         j_hi = rng.randint(1, 5)
         j_lo = rng.randint(0, j_hi)
-        strong = cm_check(ctx, fam, alpha_hi, order=j_hi, grid=grid, _cache=caches[name])
+        strong = cm_check(ctx, fam, alpha_hi, order=j_hi, grid=grid, _cache=tables[name])
         checked += 1
         if strong.passed:
-            weak = cm_check(ctx, fam, alpha_lo, order=j_lo, grid=grid, _cache=caches[name])
+            weak = cm_check(ctx, fam, alpha_lo, order=j_lo, grid=grid, _cache=tables[name])
             implied += 1
             mono_ok = mono_ok and weak.passed
 

@@ -245,6 +245,13 @@ def test_degree_order_reaches_the_family_cap(capsys):
     assert "up to order 15" in capsys.readouterr().err
 
 
+def test_degree_order_zero_is_a_domain_error(capsys):
+    # order 0 checks only h >= 0, which no alpha changes: no bracket exists
+    argv = ["degree", "--fn", "phi", "--grid", "1e-3:1e3:30", "--digits", "20", "--order", "0"]
+    assert main(argv) == 3
+    assert "derivative order must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,name", [("--alpha-lo", "alpha_lo"), ("--alpha-hi", "alpha_hi")])
 def test_degree_infinite_end_is_a_domain_error(capsys, flag, name):
     # named as a non-finite end, not as a resolution below the spacing

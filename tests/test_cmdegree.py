@@ -19,7 +19,8 @@ from cmlab import (
     degree_estimate,
     first_deriv_bound,
 )
-from cmlab.cmdegree import _scaled_deriv
+from cmlab import cmdegree
+from cmlab.cmdegree import _JetTable
 from cmlab.remainders import _MAX_DERIV, remainder_deriv
 
 COARSE = GridSpec(1e-6, 1e3, 60)
@@ -62,7 +63,7 @@ def increasing_family():
 
 def test_builtin_families_catalog():
     fams = builtin_families()
-    expected = {"lnminuspsi", "phi", "negR1prime"}
+    expected = {"lnminuspsi", "phi"}
     expected.update("R:%d" % n for n in range(7))
     expected.update("negRprime:%d" % n for n in range(7))
     assert set(fams) == expected
@@ -72,7 +73,7 @@ def test_builtin_families_catalog():
 
 
 #: (n, m) of each built-in family (-1)^m R_n^(m)
-REMAINDER_FAMILIES = {"phi": (1, 1), "negR1prime": (1, 1)}
+REMAINDER_FAMILIES = {"phi": (1, 1)}
 REMAINDER_FAMILIES.update(("R:%d" % n, (n, 0)) for n in range(7))
 REMAINDER_FAMILIES.update(("negRprime:%d" % n, (n, 1)) for n in range(7))
 
@@ -92,13 +93,13 @@ def test_builtin_family_max_order_is_the_remainder_cap(name):
         assert jet[-1] == (-1) ** m * remainder_deriv(ctx, n, m + fam.max_order, t)
 
 
-def test_phi_is_negR1prime():
+def test_phi_is_negRprime_1():
     ctx = PrecisionContext(30)
     fams = builtin_families()
     t = ctx.mpf("0.75")
     for j in (0, 1, 2):
         a = fams["phi"].eval_deriv(ctx, j, t)
-        b = fams["negR1prime"].eval_deriv(ctx, j, t)
+        b = fams["negRprime:1"].eval_deriv(ctx, j, t)
         assert a == b
 
 
@@ -129,9 +130,9 @@ def test_degree_estimate_exponential_is_zero():
 def test_cm_check_lnminuspsi():
     ctx = PrecisionContext(30)
     fam = builtin_families()["lnminuspsi"]
-    cache = {}
-    assert cm_check(ctx, fam, 1, order=6, grid=COARSE, _cache=cache).passed
-    res = cm_check(ctx, fam, "1.2", order=6, grid=COARSE, _cache=cache)
+    table = _JetTable(ctx, fam, COARSE)
+    assert cm_check(ctx, fam, 1, order=6, grid=COARSE, _cache=table).passed
+    res = cm_check(ctx, fam, "1.2", order=6, grid=COARSE, _cache=table)
     assert not res.passed
     # t^{alpha-1} leading behaviour near 0 breaks the first derivative
     assert res.order == 1
@@ -172,15 +173,89 @@ def test_lnminuspsi_derivs_match_mpmath_oracle(digits):
 
 def test_cm_check_cache_is_shared():
     ctx = PrecisionContext(30)
-    fam = builtin_families()["lnminuspsi"]
-    cache = {}
-    cm_check(ctx, fam, 1, order=3, grid=COARSE, _cache=cache)
-    filled = len(cache)
-    assert filled > 0
-    assert all(isinstance(k, tuple) and len(k) == 2 for k in cache)
-    # a second alpha on the same grid reuses every stored derivative
-    cm_check(ctx, fam, "0.7", order=3, grid=COARSE, _cache=cache)
-    assert len(cache) == filled
+    calls = []
+    base = builtin_families()["lnminuspsi"]
+    fam = counted(base, calls)
+    table = _JetTable(ctx, fam, COARSE)
+    assert cm_check(ctx, fam, 1, order=3, grid=COARSE, _cache=table).passed
+    assert len(calls) == COARSE.count
+    # each row holds H_l = t^l h^(l)(t), l <= 3, as mpfs and as float copies
+    for t, (hs, fs) in zip(COARSE.points(ctx), table.rows):
+        want, tl = [], ctx.mpf(1)
+        for h in base.eval_deriv(ctx, 3, t):
+            want.append(h * tl)
+            tl *= t
+        assert hs == want
+        assert fs == [cmdegree._float_or_nan(h) for h in hs]
+    calls.clear()
+    rows = [(list(hs), list(fs)) for hs, fs in table.rows]
+    # a second alpha on the same grid reuses every stored row
+    cm_check(ctx, fam, "0.7", order=3, grid=COARSE, _cache=table)
+    assert calls == []
+    assert [(list(hs), list(fs)) for hs, fs in table.rows] == rows
+    # a higher order makes one jet per point and appends only the new orders
+    cm_check(ctx, fam, "0.7", order=5, grid=COARSE, _cache=table)
+    assert [top for top, _ in calls] == [5] * COARSE.count
+    for (hs, fs), (old_hs, old_fs) in zip(table.rows, rows):
+        assert len(hs) == len(fs) == 6
+        assert all(a is b for a, b in zip(hs, old_hs))
+        assert fs[:4] == old_fs
+
+
+@pytest.mark.parametrize("other", ["family", "grid", "ctx", "dict"])
+def test_cm_check_rejects_a_table_of_another_check(other):
+    # on a shared dict, rows filled for phi served negRprime:2 and made it
+    # fail at alpha = 3.5; a table refuses to serve another family
+    ctx = PrecisionContext(30)
+    fams = builtin_families()
+    fam = fams["negRprime:2"]
+    table = {
+        "family": _JetTable(ctx, fams["phi"], COARSE),
+        "grid": _JetTable(ctx, fam, GridSpec(1e-6, 1e3, 61)),
+        "ctx": _JetTable(PrecisionContext(30), fam, COARSE),
+        "dict": {},
+    }[other]
+    with pytest.raises(DomainError, match="jet table"):
+        cm_check(ctx, fam, "3.5", order=6, grid=COARSE, _cache=table)
+    with pytest.raises(DomainError, match="jet table"):
+        first_deriv_bound(ctx, fam, grid=COARSE, _cache=table)
+    assert cm_check(ctx, fam, "3.5", order=6, grid=COARSE).passed
+
+
+def test_cm_check_rejects_a_jet_of_the_wrong_length():
+    # a row must hold every order the check reads
+    ctx = PrecisionContext(30)
+    phi = builtin_families()["phi"]
+    for wrong in (lambda jet: jet[:-1], lambda jet: jet + jet[-1:]):
+        fam = FunctionFamily("wrong", lambda c, top, t: wrong(phi.eval_deriv(c, top, t)), 8)
+        with pytest.raises(ValueError, match="zip"):
+            cm_check(ctx, fam, 1, order=4, grid=COARSE)
+
+
+def test_degree_estimate_makes_each_float_copy_once(monkeypatch):
+    # one float copy per H_l and grid point, and one per Leibniz
+    # coefficient C(j,i) <alpha>_i of each check
+    ctx = PrecisionContext(30)
+    floats, checks = [], []
+    float_or_nan, check = cmdegree._float_or_nan, cmdegree.cm_check
+
+    def counted_float(x):
+        floats.append(x)
+        return float_or_nan(x)
+
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cmdegree, "_float_or_nan", counted_float)
+    monkeypatch.setattr(cmdegree, "cm_check", counted_check)
+    order = 6
+    degree_estimate(
+        ctx, builtin_families()["negRprime:2"], resolution=0.1, order=order, grid=COARSE
+    )
+    coefs = (order + 1) * (order + 2) // 2
+    assert len(checks) > 2
+    assert len(floats) == COARSE.count * (order + 1) + len(checks) * coefs
 
 
 def test_cm_check_validation():
@@ -239,6 +314,18 @@ def test_degree_estimate_bad_endpoints():
         degree_estimate(ctx, fam, 1, 1, order=4, grid=COARSE)
     with pytest.raises(DomainError):
         degree_estimate(ctx, fam, 0.5, 1.5, resolution=0, order=4, grid=COARSE)
+
+
+def test_degree_estimate_needs_order_one_before_any_evaluation():
+    # an order-0 check reads only h >= 0, which no alpha changes, so the
+    # default upper end could never fail
+    ctx = PrecisionContext(30)
+    calls = []
+    fam = counted(builtin_families()["phi"], calls)
+    for ends in ((), (1, 3)):
+        with pytest.raises(DomainError, match="derivative order must be an integer >= 1, got 0"):
+            degree_estimate(ctx, fam, *ends, resolution=0.25, order=0, grid=COARSE)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -367,9 +454,10 @@ def test_cm_check_result_is_truthy_wrapper():
     assert ok and not bad
 
 
-def reference_cm_check(ctx, family, alpha, order, grid, cache):
+def reference_cm_check(ctx, alpha, order, grid, table):
     """The all-mpf check: every (j, t) pair summed by ``ctx.dot`` and
-    weighted by t^(alpha-j), with t^alpha made for every point up front."""
+    weighted by t^(alpha-j), with t^alpha made for every point up front.
+    It reads only the mpf rows of the jet ``table``."""
     alpha0 = ctx.mpf(alpha)
     tol = ctx.mpf(10) ** (-(ctx.digits // 2))
     pts = grid.points(ctx)
@@ -383,7 +471,8 @@ def reference_cm_check(ctx, family, alpha, order, grid, cache):
         for idx, t in enumerate(pts):
             if j:
                 tpow[idx] *= tinv[idx]
-            hs = [_scaled_deriv(ctx, family, cache, j - i, idx, pts, order) for i in range(j + 1)]
+            row, _ = table.row(idx, order)
+            hs = [row[j - i] for i in range(j + 1)]
             signed = ctx.dot(coef[j], hs) * tpow[idx]
             if j % 2:
                 signed = -signed
@@ -413,11 +502,11 @@ def test_cm_check_verdicts_match_all_mpf_reference(name):
     # every verdict and witness is the all-mpf loop's, bit for bit
     ctx = PrecisionContext(30)
     fam = builtin_families()[name]
-    cache, ref_cache = {}, {}
+    table, ref_table = _JetTable(ctx, fam, COARSE), _JetTable(ctx, fam, COARSE)
     seen = set()
     for alpha in BOTH_SIDES[name]:
-        got = cm_check(ctx, fam, alpha, order=8, grid=COARSE, _cache=cache)
-        want = reference_cm_check(ctx, fam, alpha, 8, COARSE, ref_cache)
+        got = cm_check(ctx, fam, alpha, order=8, grid=COARSE, _cache=table)
+        want = reference_cm_check(ctx, alpha, 8, COARSE, ref_table)
         assert verdict(got) == verdict(want), alpha
         seen.add(got.passed)
     assert seen == {True, False}
@@ -431,7 +520,7 @@ def test_cm_check_matches_reference_beyond_float_range(alpha):
     grid = GridSpec(1e-300, 1e300, 40)
     fam = builtin_families()["phi"]
     got = cm_check(ctx, fam, alpha, order=4, grid=grid)
-    want = reference_cm_check(ctx, fam, alpha, 4, grid, {})
+    want = reference_cm_check(ctx, alpha, 4, grid, _JetTable(ctx, fam, grid))
     assert verdict(got) == verdict(want)
 
 
@@ -444,7 +533,7 @@ def test_cm_check_matches_reference_on_cancelling_sums():
     ctx = PrecisionContext(30)
     fam = family("inverse-square", deriv)
     got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
-    want = reference_cm_check(ctx, fam, 2, 8, COARSE, {})
+    want = reference_cm_check(ctx, 2, 8, COARSE, _JetTable(ctx, fam, COARSE))
     assert verdict(got) == verdict(want)
 
 
@@ -461,7 +550,7 @@ def test_cm_check_matches_reference_below_float_resolution(beta):
     fam = family("power", deriv)
     alpha = ctx.mpf(beta) + ctx.mpf("1e-18")
     got = cm_check(ctx, fam, alpha, order=4, grid=COARSE)
-    want = reference_cm_check(ctx, fam, alpha, 4, COARSE, {})
+    want = reference_cm_check(ctx, alpha, 4, COARSE, _JetTable(ctx, fam, COARSE))
     assert not want.passed
     assert verdict(got) == verdict(want)
 

@@ -90,6 +90,11 @@ INTEGER_ROWS = [
     ("K_kernel-m", lambda: K_kernel(CTX, 2.5, 1), "K_kernel order m"),
     ("sign_scan-m", lambda: sign_scan(CTX, 2.5, SMALL), "sign_scan order m"),
     ("cm_check-order", lambda: cm_check(CTX, PHI, 1, order=2.5, grid=SMALL), "derivative order"),
+    (
+        "degree_estimate-order-0",
+        lambda: degree_estimate(CTX, PHI, 1, 3, order=0, grid=SMALL),
+        "derivative order must be an integer >= 1",
+    ),
     ("conjecture_probe-n", lambda: conjecture_probe(CTX, 2.5, 1), "conjecture_probe n"),
     ("conjecture_probe-m", lambda: conjecture_probe(CTX, 1, 2.5), "conjecture_probe m"),
     ("remainder-n", lambda: remainder(CTX, 2.5, 1), "truncation order n"),
