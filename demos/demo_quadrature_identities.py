@@ -82,18 +82,18 @@ def main():
     print("cosine-moment argument fails and K_4 can change sign.")
     print()
 
-    print("lower-bound report for the odd-moment inequalities (n=1)")
+    print("two-sided cosine-moment bound (Remark 3, n=1)")
     print("-" * 68)
     rep = remark3_inequalities(ctx, 1, GridSpec(1e-2, 1e2, 60))
     print("  exact bound: %s (= %.10f)" % (rep.bound_exact, float(rep.bound)))
-    for i in range(3):
+    for i in range(2):
         print(
-            "  form %d: max lhs %.10f, min margin %.3e at t=%.3f"
-            % (i + 1, float(rep.max_lhs[i]), float(rep.min_margin[i]), float(rep.argmin[i]))
+            "  route %d: max |lhs| %.10f, min two-sided margin %.3e at v=%.3f"
+            % (i + 1, float(rep.max_abs_lhs[i]), float(rep.min_margin[i]), float(rep.argmin[i]))
         )
     print("  all hold: %s" % rep.all_hold)
-    print("Forms 1 and 2 are two routes to the moment; form 3 is form 2")
-    print("negated, so its line checks the lower side -bound < moment.")
+    print("Route 1 is K_1 (its Taylor series below v = 1/2), route 2 its")
+    print("closed form at every v; each is checked on both sides.")
 
 
 if __name__ == "__main__":

@@ -57,12 +57,14 @@ def _taylor(ell: int, k: int) -> Fraction:
     return bernoulli(2 * k) / (2 * k * math.factorial(2 * k - 1 - ell))
 
 
-def _closed_boost(m_like: int, v: float) -> int:
+def _closed_boost(m_like: int, v) -> int:
     """Digits lost to cancellation in the closed forms: roughly
-    (order+2) * log10(2 pi / v) for v below 2 pi, plus a flat margin."""
+    (order+2) * log10(2 pi / v) for v below 2 pi, plus a flat margin.  v's
+    size is read from its binary exponent: float(v) underflows below
+    1e-308."""
     if v >= _TWO_PI_FLOAT:
         return 10
-    return int((m_like + 2) * math.log10(_TWO_PI_FLOAT / v)) + 10
+    return int((m_like + 2) * (math.log10(_TWO_PI_FLOAT) - _log2(v) * math.log10(2))) + 10
 
 
 def f_kernel(ctx: PrecisionContext, n: int, v):
@@ -97,7 +99,7 @@ def _f_closed(ctx, n, v, ell):
     """d^ell/dv^ell of f_n = (-1)^n [(-1)^ell ell!/v^(ell+1) - [ell = 0]/2 -
     d^ell/dv^ell 1/(e^v - 1) + sum_{k<=n} a_k^(ell) v^(2k-1-ell)], under a
     boost sized to the cancellation (the Bose factor via Stirling numbers)."""
-    wctx = ctx.boosted(_closed_boost(2 * n if ell == 0 else ell + 1, float(v)))
+    wctx = ctx.boosted(_closed_boost(2 * n if ell == 0 else ell + 1, v))
     vv = wctx.mpf(v)
     acc = (-1) ** ell * math.factorial(ell) / vv ** (ell + 1)
     if ell == 0:

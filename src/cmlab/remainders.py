@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _MAX_N = 30
-_MAX_DERIV = 16
+_MAX_DERIV = 64
 
 
 def remainder(ctx: PrecisionContext, n, t):

@@ -133,16 +133,17 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
 
 @dataclass
 class Remark3Report:
-    """Grid scan of the cosine-moment bound for one n, by three routes.
+    """Grid scan of the cosine-moment bound for one n, by two routes, each
+    checked on both sides, -bound < lhs < bound.
 
-    Routes 1 and 2 are structurally different; route 3 is route 2 negated,
-    so its lhs < bound is route 2's lower side -bound < lhs.
+    ``max_abs_lhs``, ``min_margin`` (the grid minimum of bound - |lhs|) and
+    ``argmin`` hold one entry per route; a violation is (route, v, lhs).
     """
 
     n: int
     bound_exact: Fraction
     bound: object
-    max_lhs: list
+    max_abs_lhs: list
     min_margin: list
     argmin: list
     violations: list = field(default_factory=list)
@@ -153,67 +154,45 @@ class Remark3Report:
 
 
 def remark3_inequalities(ctx: PrecisionContext, n: int, grid: GridSpec) -> Remark3Report:
-    """Check, at every grid point, that the oscillatory cosine moment stays
-    strictly below the rational (2n-1)! zeta(2n) / (2 pi)^{2n}.
+    """Check, at every grid point, that the oscillatory cosine moment
+    lhs = (-1)^n (K_{2n-1}(v) - B_{2n}/(2n))/2 stays strictly inside
+    (-bound, bound), with the rational bound (2n-1)! zeta(2n) / (2 pi)^{2n}.
 
-    Routes: (1) the assembled kernel K_{2n-1} minus its constant;
-    (2) the derivative closed form -(2n-1)!/v^{2n} - (d^{2n-1}/dv^{2n-1}) of
-    the Bose factor; (3) route 2 negated (its Stirling-number polynomial is
-    minus that Bose derivative), which checks route 2's lower side -bound
-    < lhs.  Violations are report entries, not exceptions.
+    Routes to K_{2n-1}: (1) ``kernels.K_kernel``, which takes its Taylor
+    series below v = 1/2; (2) the closed form it takes above, here at every
+    v.  Violations are report entries, not exceptions.
     """
     n = check_int(n, "remark3_inequalities n", 1)
 
     q, _power = combinatorics.zeta_even(n)
-    fact = math.factorial(2 * n - 1)
-    bound_exact = Fraction(fact) * q / Fraction(2) ** (2 * n)
+    bound_exact = Fraction(math.factorial(2 * n - 1)) * q / Fraction(2) ** (2 * n)
     bound = ctx.mpf(bound_exact)
 
     sign = -1 if n % 2 else 1
     b2n = ctx.mpf(combinatorics.bernoulli(2 * n))
     m = 2 * n - 1
-    srow = [ctx.mpf(int(combinatorics.stirling2(2 * n, p))) for p in range(1, 2 * n + 1)]
-    pfact = [ctx.mpf(math.factorial(p - 1)) for p in range(1, 2 * n + 1)]
 
-    max_lhs = [None, None, None]
-    min_margin = [None, None, None]
-    argmin = [None, None, None]
+    max_abs_lhs = [None, None]
+    min_margin = [None, None]
+    argmin = [None, None]
     violations = []
 
     for v in grid.points(ctx):
-        # boost for the v^{-2n} cancellation in the raw closed forms, from
-        # v's binary exponent: float(v) underflows below 1e-308
-        extra = 0
-        if v < 1:
-            extra = int(-2 * n * gammakit._log2(v) * math.log10(2)) + 10
-        wctx = ctx.boosted(extra)
-        vv = wctx.mpf(v)
-        mfact_w = wctx.mpf(fact)
-        vpow = wctx.power(vv, 2 * n)
-
-        lhs1 = ctx.mpf(sign) / 2 * (kernels.K_kernel(ctx, m, v) - b2n / (2 * n))
-        lhs2 = wctx.mpf(sign) / 2 * (
-            -mfact_w / vpow - kernels.bose_derivative(wctx, m, vv)
-        )
-        u = 1 / wctx.expm1(vv)
-        ssum = wctx.mpf(0)
-        upow = wctx.mpf(1)
-        for p in range(1, 2 * n + 1):
-            upow *= u
-            ssum += wctx.mpf(pfact[p - 1]) * wctx.mpf(srow[p - 1]) * upow
-        lhs3 = wctx.mpf(sign) / 2 * (mfact_w / vpow - ssum)
-
-        for i, lhs in enumerate((ctx.mpf(lhs1), ctx.mpf(lhs2), ctx.mpf(lhs3))):
-            margin = bound - lhs
-            if max_lhs[i] is None or lhs > max_lhs[i]:
-                max_lhs[i] = lhs
+        # K_m = (-1)^n f_n^(m), as in K_kernel
+        routes = (kernels.K_kernel(ctx, m, v), sign * kernels._f_closed(ctx, n, v, m))
+        for i, k in enumerate(routes):
+            lhs = ctx.mpf(sign) / 2 * (k - b2n / (2 * n))
+            size = abs(lhs)
+            margin = bound - size
+            if max_abs_lhs[i] is None or size > max_abs_lhs[i]:
+                max_abs_lhs[i] = size
             if min_margin[i] is None or margin < min_margin[i]:
                 min_margin[i] = margin
                 argmin[i] = v
             if not margin > 0:
                 violations.append((i + 1, v, lhs))
 
-    return Remark3Report(n, bound_exact, bound, max_lhs, min_margin, argmin, violations)
+    return Remark3Report(n, bound_exact, bound, max_abs_lhs, min_margin, argmin, violations)
 
 
 # -- suites -----------------------------------------------------------------

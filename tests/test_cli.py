@@ -236,13 +236,13 @@ def test_degree_unreachable_resolution_exit_code(capsys):
 def test_degree_order_reaches_the_family_cap(capsys):
     # phi = -R_1' reads R_1^(j+1), so its cap is one below remainders'
     argv = ["degree", "--fn", "phi", "--grid", "1e-3:1e3:30", "--digits", "20"]
-    code, out = run(capsys, argv + ["--order", "15"])
+    code, out = run(capsys, argv + ["--order", "63"])
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["order_used"] == 15
-    assert float(result["failed_alpha"]) >= 2
-    assert main(argv + ["--order", "16"]) == 3
-    assert "up to order 15" in capsys.readouterr().err
+    assert result["order_used"] == 63
+    assert (float(result["passed_alpha"]), float(result["failed_alpha"])) == (1.96875, 2.015625)
+    assert main(argv + ["--order", "64"]) == 3
+    assert "up to order 63" in capsys.readouterr().err
 
 
 def test_degree_order_zero_is_a_domain_error(capsys):

@@ -22,6 +22,7 @@ from cmlab import (
     remainder_jet,
     tail_limits,
 )
+from cmlab.remainders import _MAX_DERIV
 
 EULER_GAMMA = "0.5772156649015328606065120900824024310421593359399235988057672348848677267776646709"
 
@@ -203,7 +204,7 @@ def test_remainder_domain():
     with pytest.raises(DomainError):
         remainder(ctx, 0, -2)
     with pytest.raises(DomainError):
-        remainder_deriv(ctx, 1, 17, 1)
+        remainder_deriv(ctx, 1, _MAX_DERIV + 1, 1)
 
 
 def _remainder_deriv_oracle(n, j, t, digits):
@@ -244,7 +245,7 @@ def test_remainder_deriv_matches_mpmath_oracle(digits, n):
     # and its tail stalls at t = 45
     ctx = PrecisionContext(digits)
     failures = []
-    for j in (0, 1, 2, 5, 9, 16):
+    for j in (0, 1, 2, 5, 9, 16, 32, 64):
         switch = gammakit._threshold(digits + 10 + max(j - 1, 0), j - 1) + n
         for t in (1e-8, 0.3, 5, 40, 45, switch - 0.5, switch, 1e4, 1e10, 1e100):
             want = _remainder_deriv_oracle(n, j, t, digits)
@@ -292,7 +293,7 @@ def test_remainder_jet_domain():
     with pytest.raises(DomainError):
         remainder_jet(ctx, 1, 3, 2, 1)
     with pytest.raises(DomainError):
-        remainder_jet(ctx, 1, 0, 17, 1)
+        remainder_jet(ctx, 1, 0, _MAX_DERIV + 1, 1)
     with pytest.raises(DomainError):
         remainder_jet(ctx, 1, -1, 2, 1)
     with pytest.raises(DomainError):

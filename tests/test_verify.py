@@ -10,6 +10,8 @@ from cmlab import (
     DomainError,
     GridSpec,
     PrecisionContext,
+    K_kernel,
+    bernoulli,
     binet_check,
     psi_integral_check,
     remark3_inequalities,
@@ -57,23 +59,38 @@ def test_remark3_report(n, exact):
     assert report.bound_exact == exact
     assert report.all_hold
     assert not report.violations
-    assert len(report.max_lhs) == 3
+    assert len(report.max_abs_lhs) == len(report.min_margin) == len(report.argmin) == 2
     for margin in report.min_margin:
         assert margin > 0
-    for lhs in report.max_lhs:
+    for lhs in report.max_abs_lhs:
         assert lhs < report.bound
 
 
+def test_remark3_margin_is_two_sided():
+    # for n >= 2 the moment goes negative: at n = 2 it reaches -1.259e-3
+    # near v = 4.74, against the bound 1/240, so the margin there is
+    # bound - |lhs|, not bound - lhs
+    ctx = PrecisionContext(30)
+    report = remark3_inequalities(ctx, 2, GridSpec(4.5, 5, 3))
+    tol = ctx.mpf(10) ** (-25)
+    for route in range(2):
+        assert abs(report.min_margin[route] - ctx.mpf("2.9076414190e-3")) < ctx.mpf(10) ** (-12)
+        assert abs(report.max_abs_lhs[route] - ctx.mpf("1.2590252477e-3")) < ctx.mpf(10) ** (-12)
+        assert report.min_margin[route] == report.bound - report.max_abs_lhs[route]
+        v = report.argmin[route]
+        lhs = (K_kernel(ctx, 3, v) - ctx.mpf(bernoulli(4)) / 4) / 2
+        assert lhs < 0
+        assert abs(report.max_abs_lhs[route] - abs(lhs)) < tol
+
+
 def test_remark3_grid_below_the_float_range():
-    # the boost is read from v's binary exponent, not from float(v) = 0; as
-    # v -> 0+ routes 1 and 2 rise to the bound and route 3, their negation,
-    # falls to minus it
+    # the closed form's boost is read from v's binary exponent, not from
+    # float(v) = 0; as v -> 0+ both routes rise to the bound
     ctx = PrecisionContext(30)
     report = remark3_inequalities(ctx, 1, GridSpec("1e-400", "1e-300", 3))
     tol = ctx.mpf(10) ** (-25)
-    assert abs(report.max_lhs[0] - report.bound) < tol
-    assert abs(report.max_lhs[1] - report.bound) < tol
-    assert abs(report.max_lhs[2] + report.bound) < tol
+    for lhs in report.max_abs_lhs:
+        assert abs(lhs - report.bound) < tol
 
 
 def test_remark3_domain():
