@@ -140,6 +140,10 @@ class PrecisionContext:
     def sin(self, x):
         return self._finite("sin", self._mp.sin(self.mpf(x)), x)
 
+    def cos_sin(self, x):
+        """(cos x, sin x)."""
+        return self._mp.cos_sin(self.mpf(x))
+
     def power(self, x, a):
         x = self.mpf(x)
         if x <= 0:

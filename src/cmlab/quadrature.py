@@ -18,16 +18,54 @@ non-oscillatory.  ``bose_moment`` and the oscillatory integrals share one
 exponential-envelope tail.
 
 Two stability rules are applied throughout: 1 - cos(x) is always evaluated
-as 2 sin^2(x/2), and 1/(e^x - 1) always goes through expm1.
+as 2 sin^2(x/2), and 1/(e^x - 1) always goes through expm1 (or, in the
+frame below, the sum of two terms >= 0).
 
-The cosine kernel's factor w^{2n-1} and expm1(2 pi w) does not depend on
-v.  A caller that integrates it for many v (the inner integrals of the
-Laplace form of -R_n') passes one dict that keeps the pair per node w.
-Only for v <= pi are the panels the same unit panels [k, k+1] for every
-v, so only there do later calls meet the same nodes; above pi the panels
-are pi/v wide and the dict is left alone, which keeps it to a few hundred
-entries.  The integrand is still formed in the same operations, so every
-value and error bound is bit-identical to an unshared call.
+A panel is summed by a *rule* ``rule(a, b, degree)``, the one entry of
+``_panel``.  ``laplace`` and ``bose_moment`` call their integrand at each
+node mid + half x.  The oscillatory shapes, u^p trig(u)/(e^{r u} - 1) with
+trig = sin(f u) (f = s, r = 1) or 1 - cos(v u) = 2 sin^2(f u) (f = v/2,
+r = 2 pi), are summed by ``_FrameRule`` as one integer dot product in a
+fixed-point frame, as gammakit's jets are: every number is a multiple of
+2^-F, F = prec + gammakit's ``_GUARD`` bits.  A node is u = a + y with
+y = half (1 + x), and two exact identities leave no transcendental call
+that depends on both a and y:
+
+    sin(f u) = sin(f a) cos(f y) + cos(f a) sin(f y),
+    e^{r u} - 1 = e^{r a} (expm1(r y) + G),   G = -expm1(-r a) = 1 - e^{-r a}.
+
+Both terms of the second are >= 0, so nothing cancels, and the integrand
+is e^{-r a} u^p trig / (expm1(r y) + G).  A table per (degree, half) holds
+y, the weight, expm1(r y) and cos/sin(f y) at each node; the last come by
+angle addition from cos/sin(f half) and cos/sin(f half x), since the
+nodes come in pairs x, -x.  Per panel start a the frame holds a,
+cos/sin(f a) and G = 2^F - floor(e^{-r a} 2^F) (in units of 2^-F), and
+e^{-r a} multiplies the panel's sum in mpf.  So a panel costs one cos_sin
+and one exp, and a node integer multiplies and one floor division.  Each
+value is computed on ctx.boosted(7), which has at least 22 more bits than
+ctx and whose precision is never raised, and then floored into the frame.
+
+The frame's error, in units of 2^-F: each table entry is within 2^-(F+2)
+of its size before its floor, which loses under one unit more, and the
+angle additions floor once more.  So a + y, sin(f u) and expm1(r y) + G
+are off by a few units (the last two are at most 1 and e^r), and each
+node's quotient is floored once.  Divided by expm1(r y) + G >= expm1(r y)
+and summed with weights whose w_i/(1 + x_i) add up to a few times log N,
+this leaves the panel's value off by at most a few dozen units times the
+envelope u^p/(e^{r u} - 1) at its largest on the panel: with F = prec + 20,
+far below the rounding floor 10 eps (1 + |hi|) that every panel already
+accepts.  Like that floor, the frame is absolute: an integral far below
+its envelope (the cosine kernel at v near 0) keeps no more than that.
+
+The half-period panels are pi/s or pi/v wide, capped at 1 and cut to
+prec - 32 bits, so that panel ends and bisection points are exact and a
+call meets few halves; each half's tables serve every panel, and a panel
+of degree 2..5 has 6 + 12 + 24 + 48 = 90 nodes.  For s or v <= pi they are
+the unit panels [k, k+1] of every call, and two module-level caches keep
+what does not depend on s or v: the node tables, keyed by (bits, r,
+degree, half), and e^{-r a} and G, keyed by (bits, r, a).  No key holds
+v or s, so the caches stay bounded.  Above pi, and for cos/sin of f, the
+tables are the call's own.
 """
 
 from __future__ import annotations
@@ -108,24 +146,33 @@ def _gl_nodes(ctx: PrecisionContext, degree: int):
     return nodes
 
 
-def _panel(ctx, f, a, b, budget, degree):
-    """One Gauss-Legendre pass of the given degree over [a, b]."""
-    nodes = _gl_nodes(ctx, degree)
-    budget.spend(len(nodes))
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    acc = ctx.mpf(0)
-    for x, w in nodes:
-        acc += w * f(mid + half * x)
-    return half * acc
+def _panel(rule, a, b, budget, degree):
+    """One Gauss-Legendre pass of the given degree over [a, b]; mpmath's
+    rule of degree m has 3 * 2^(m-1) nodes."""
+    budget.spend(3 << (degree - 1))
+    return rule(a, b, degree)
 
 
-def _integrate_panel(ctx, f, a, b, panel_tol, budget, degree=5, depth=0):
+def _pointwise(ctx, f):
+    """The panel rule that calls the integrand f at each node."""
+
+    def rule(a, b, degree):
+        mid = (a + b) / 2
+        half = (b - a) / 2
+        acc = ctx.mpf(0)
+        for x, w in _gl_nodes(ctx, degree):
+            acc += w * f(mid + half * x)
+        return half * acc
+
+    return rule
+
+
+def _integrate_panel(ctx, rule, a, b, panel_tol, budget, degree=5, depth=0):
     """Nested-pair panel integral: pairs of consecutive degree climb from
     degree-2 until two rules agree, else the panel is bisected (bounds add)."""
-    hi = _panel(ctx, f, a, b, budget, degree - 2)
+    hi = _panel(rule, a, b, budget, degree - 2)
     for d in range(degree - 1, degree + 2):
-        lo, hi = hi, _panel(ctx, f, a, b, budget, d)
+        lo, hi = hi, _panel(rule, a, b, budget, d)
         diff = abs(hi - lo)
         # rounding floor: below this level the disagreement is noise, not signal
         floor = 10 * ctx.eps * (1 + abs(hi))
@@ -138,8 +185,8 @@ def _integrate_panel(ctx, f, a, b, panel_tol, budget, degree=5, depth=0):
             evaluations=budget.used,
         )
     m = (a + b) / 2
-    v1, e1 = _integrate_panel(ctx, f, a, m, panel_tol / 2, budget, degree, depth + 1)
-    v2, e2 = _integrate_panel(ctx, f, m, b, panel_tol / 2, budget, degree, depth + 1)
+    v1, e1 = _integrate_panel(ctx, rule, a, m, panel_tol / 2, budget, degree, depth + 1)
+    v2, e2 = _integrate_panel(ctx, rule, m, b, panel_tol / 2, budget, degree, depth + 1)
     return v1 + v2, e1 + e2
 
 
@@ -154,8 +201,9 @@ def _envelope_tail(ctx, p, rate, amp=1):
     def tail(b):
         if rate * b <= p:
             return None
-        env = ctx.power(b, p) * ctx.exp(-rate * b) / (rate - ctx.mpf(p) / b)
-        return amp * env / (1 - ctx.exp(-rate * b))
+        decay = ctx.exp(-rate * b)
+        env = ctx.power(b, p) * decay / (rate - ctx.mpf(p) / b)
+        return amp * env / (1 - decay)
 
     return tail
 
@@ -173,6 +221,12 @@ def _half_period_panels(ctx, freq, p, rate, tol):
     each with tolerance tol / (8 n_est), where n_est estimates how many pass
     before the envelope tail of u^p / (e^{rate u} - 1) engages."""
     width = min(ctx.mpf(1), ctx.pi / freq)
+    # cut to prec - 32 bits: k width and the bisection points of its
+    # panel are then exact for k 2^depth < 2^32, so every panel is the
+    # same width and the node tables of one call serve them all
+    man, exp = width.man_exp
+    cut = max(0, man.bit_length() - (ctx.prec - 32))
+    width = ctx.from_fixed(man >> cut, -exp - cut)
     panel_tol = tol / (8 * _estimate_panels(float(tol), p, float(rate), float(width)))
     a = ctx.mpf(0)
     while True:
@@ -180,10 +234,10 @@ def _half_period_panels(ctx, freq, p, rate, tol):
         a += width
 
 
-def _march(ctx, integrand, panels, tail, tol, bud, degree=5, total=0, err=0):
-    """The one panel loop: add each panel's integral and error to ``total``
-    and ``err`` until tail(b) (None while no bound holds) drops below
-    tol/4, then add the tail to the error.
+def _march(ctx, rule, panels, tail, tol, bud, degree=5, total=0, err=0):
+    """The one panel loop: add each panel's integral by ``rule`` and its
+    error to ``total`` and ``err`` until tail(b) (None while no bound
+    holds) drops below tol/4, then add the tail to the error.
 
     Raises IntegrationError when the panels or the evaluation budget run
     out first.  Its ``est_error`` is the error of the finished panels plus
@@ -195,7 +249,7 @@ def _march(ctx, integrand, panels, tail, tol, bud, degree=5, total=0, err=0):
     rest = None
     try:
         for a, b, panel_tol in panels:
-            val, perr = _integrate_panel(ctx, integrand, a, b, panel_tol, bud, degree)
+            val, perr = _integrate_panel(ctx, rule, a, b, panel_tol, bud, degree)
             # a panel is finished once its tail bound is known too: the
             # sampled Laplace tail spends budget and may raise
             rest_b = tail(b)
@@ -243,7 +297,7 @@ def laplace(
         return _laplace_tail(ctx, kernel, t, b, bud, kernel_bound)
 
     panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1), tol)
-    return _march(ctx, integrand, panels, tail, tol, bud)
+    return _march(ctx, _pointwise(ctx, integrand), panels, tail, tol, bud)
 
 
 def _laplace_tail(ctx, kernel, t, b, bud, kernel_bound):
@@ -292,14 +346,15 @@ def bose_moment(ctx: PrecisionContext, s, tol, budget: int = DEFAULT_BUDGET) -> 
     def integrand(w):
         return ctx.power(w, s) / ctx.expm1(two_pi * w)
 
+    rule = _pointwise(ctx, integrand)
     tail = _envelope_tail(ctx, float(s), two_pi)
     if s == int(s):
         panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1) / 2, tol)
-        return _march(ctx, integrand, panels, tail, tol, bud)
+        return _march(ctx, rule, panels, tail, tol, bud)
     a = ctx.mpf(1) / 8
     val, serr = _bose_corner_series(ctx, s, a)
     panels = _doubling_panels(ctx, a, 2 * a, tol)
-    return _march(ctx, integrand, panels, tail, tol, bud, total=val, err=serr)
+    return _march(ctx, rule, panels, tail, tol, bud, total=val, err=serr)
 
 
 def _bose_corner_series(ctx, s, w0):
@@ -338,8 +393,128 @@ def _bose_corner_series(ctx, s, w0):
 # -- oscillatory kernels -----------------------------------------------
 
 
+# (bits, rate, degree, half) -> the node table of a unit panel's half
+_NODE_CACHE: dict = {}
+# (bits, rate, a) -> e^{-rate a} and G at the start a of a unit panel
+_OFFSET_CACHE: dict = {}
+
+
+class _FrameRule:
+    """The panel rule of the sine moments u^p sin(freq u) / (e^u - 1), or
+    for ``cosine`` of the cosine kernel u^p [1 - cos(freq u)] / (e^{2 pi u} - 1),
+    summed in one fixed-point frame (see the module docstring)."""
+
+    def __init__(self, ctx, p, freq, cosine):
+        self.ctx = ctx
+        self.wctx = wctx = ctx.boosted(7)
+        self.bits = ctx.prec + _GUARD
+        self.p = p
+        self.cosine = cosine
+        # f in sin(f u), and r
+        self.angle = wctx.mpf(freq) / 2 if cosine else wctx.mpf(freq)
+        self.rate = 2 * wctx.pi if cosine else wctx.mpf(1)
+        # up to pi the panels are the unit panels of every freq
+        shared = freq <= ctx.pi
+        self.nodes = _NODE_CACHE if shared else {}
+        self.offsets = _OFFSET_CACHE if shared else {}
+        # this call's tables: (degree, half) -> the panel table, and a
+        # panel start a -> its factors
+        self.panels = {}
+        self.starts = {}
+
+    def _fixed(self, x):
+        return self.wctx.to_fixed(x, self.bits)
+
+    def _cos_sin(self, x):
+        return [self._fixed(c) for c in self.wctx.cos_sin(self.angle * x)]
+
+    def _node_table(self, degree, half):
+        """For a panel 2 half wide: the nodes x > 0, and in the frame
+        y = half (1 + x), the weight and expm1(rate y), at x and -x in turn.
+        Gauss-Legendre nodes come in pairs x, -x of one weight, with no
+        node at 0 from degree 2 on."""
+        key = (self.bits, self.rate, degree, half)
+        table = self.nodes.get(key)
+        if table is None:
+            wctx = self.wctx
+            half = wctx.mpf(half)
+            pos = [(x, w) for x, w in _gl_nodes(wctx, degree) if x > 0]
+            ys = [half * (1 + sx * x) for x, _ in pos for sx in (1, -1)]
+            table = (
+                [x for x, _ in pos],
+                [self._fixed(y) for y in ys],
+                [self._fixed(w) for _, w in pos for _ in (1, -1)],
+                [self._fixed(wctx.expm1(self.rate * y)) for y in ys],
+            )
+            table = self.nodes.setdefault(key, table)
+        return table
+
+    def _panel_table(self, degree, half):
+        """The node table and cos and sin of f y at its nodes: at
+        y = half (1 +- x) the angle f half +- f half x, by angle addition."""
+        key = (degree, half)
+        table = self.panels.get(key)
+        if table is None:
+            xs, yf, wf, ef = self._node_table(degree, half)
+            bits = self.bits
+            half = self.wctx.mpf(half)
+            c0, s0 = self._cos_sin(half)
+            cf, sf = [], []
+            for x in xs:
+                c, s = self._cos_sin(half * x)
+                cf += [(c0 * c - s0 * s) >> bits, (c0 * c + s0 * s) >> bits]
+                sf += [(s0 * c + c0 * s) >> bits, (s0 * c - c0 * s) >> bits]
+            table = self.panels[key] = (yf, wf, ef, cf, sf)
+        return table
+
+    def _start(self, a):
+        """At a panel start a, in the frame: a, G = 1 - e^{-rate a},
+        cos and sin of f a; and e^{-rate a} in mpf."""
+        start = self.starts.get(a)
+        if start is None:
+            key = (self.bits, self.rate, a)
+            offset = self.offsets.get(key)
+            if offset is None:
+                ea = self.wctx.exp(-self.rate * self.wctx.mpf(a))
+                offset = self.offsets.setdefault(key, (ea, (1 << self.bits) - self._fixed(ea)))
+            ea, g = offset
+            start = self.starts[a] = (self._fixed(a), g, *self._cos_sin(a), ea)
+        return start
+
+    def __call__(self, a, b, degree):
+        # b - a is exact, since a = 0 or b <= 2a
+        half = (b - a) / 2
+        yf, wf, ef, cf, sf = self._panel_table(degree, half)
+        at, g, ca, sa, ea = self._start(a)
+        p = self.p
+        acc = 0
+        # a + y is held at F bits, so its p-th power at pF, sin(f u) at 2F
+        # and expm1(rate y) + G at F: the lift brings each quotient to F
+        # bits with one floor
+        if self.cosine:
+            lift = (p + 2) * self.bits
+            for y, w, e, c, s in zip(yf, wf, ef, cf, sf):
+                t = sa * c + ca * s
+                acc += w * ((2 * (at + y) ** p * t * t) // ((e + g) << lift))
+        else:
+            lift = p * self.bits
+            for y, w, e, c, s in zip(yf, wf, ef, cf, sf):
+                acc += w * (((at + y) ** p * (sa * c + ca * s)) // ((e + g) << lift))
+        return self.ctx.mpf(ea * self.wctx.from_fixed(acc, 2 * self.bits) * half)
+
+
+def _oscillatory(ctx, p, freq, cosine, tol, bud):
+    """The march of ``_FrameRule``'s integrand on panels pi/freq wide,
+    with the exponential-envelope tail of its envelope, u^p/(e^u - 1) or
+    for ``cosine`` 2 u^p/(e^{2 pi u} - 1)."""
+    rate = 2 * ctx.pi if cosine else 1
+    panels = _half_period_panels(ctx, freq, p, rate, tol)
+    tail = _envelope_tail(ctx, p, rate, amp=2 if cosine else 1)
+    return _march(ctx, _FrameRule(ctx, p, freq, cosine), panels, tail, tol, bud, degree=4)
+
+
 def cos_kernel_integral(
-    ctx: PrecisionContext, n: int, v, tol, budget: int = DEFAULT_BUDGET, _weights=None
+    ctx: PrecisionContext, n: int, v, tol, budget: int = DEFAULT_BUDGET
 ) -> IntegralResult:
     """int_0^inf w^{2n-1} [1 - cos(wv)] / (e^{2 pi w} - 1) dw  (n >= 1, v >= 0).
 
@@ -348,10 +523,11 @@ def cos_kernel_integral(
     half-period pi/v (capped at width 1) so each panel sees at most one
     hump of the oscillation; at v = 0 the integral is exactly 0.
 
-    ``_weights`` is a dict shared by calls with the same context and n.  It
-    maps a node w to the v-independent pair (w^{2n-1}, expm1(2 pi w)) and
-    is read and filled only for v <= pi, where the panels are the unit
-    panels that every such v shares; above pi the nodes depend on v.
+    Each panel is summed in the fixed-point frame of the module docstring,
+    at rate 2 pi.  For v <= pi the panels are the unit panels of every v:
+    their tables of w and expm1(2 pi w), and e^{-2 pi a} and G at each
+    panel start a, come from the module caches, and only cos and sin of
+    wv/2 are made per call.
     """
     n = check_int(n, "cos_kernel_integral n", 1)
     tol = ctx.positive(tol, "cos_kernel_integral", "tol")
@@ -361,25 +537,7 @@ def cos_kernel_integral(
         return IntegralResult(ctx.mpf(0), ctx.mpf(0), 0)
     # the message reads "requires finite v = 0 or v > 0"
     v = ctx.positive(v, "cos_kernel_integral", "v = 0 or v")
-    two_pi = 2 * ctx.pi
-    p = 2 * n - 1
-    # one call never visits a node twice; only the unit panels of v <= pi
-    # are visited again, by the next call
-    weights = _weights if v <= ctx.pi else None
-
-    def integrand(w):
-        pair = None if weights is None else weights.get(w._mpf_)
-        if pair is None:
-            pair = (ctx.power(w, p), ctx.expm1(two_pi * w))
-            if weights is not None:
-                weights[w._mpf_] = pair
-        pw, em = pair
-        sh = ctx.sin(w * v / 2)
-        return pw * 2 * sh * sh / em
-
-    panels = _half_period_panels(ctx, v, p, two_pi, tol)
-    tail = _envelope_tail(ctx, p, two_pi, amp=2)
-    return _march(ctx, integrand, panels, tail, tol, bud, degree=4)
+    return _oscillatory(ctx, 2 * n - 1, v, True, tol, bud)
 
 
 def sin_kernel_integral(
@@ -390,20 +548,16 @@ def sin_kernel_integral(
     Panels are aligned to the zeros of sin(su) (width pi/s, capped at 1),
     so panel contributions alternate in sign once u^p/(e^u-1) decays; the
     cutoff uses the exponential envelope, which needs no sign argument.
+    Each panel is summed in the fixed-point frame of the module docstring,
+    at rate 1; for s <= pi the unit panels' tables come from the module
+    caches.
     """
     p = check_int(p, "sin_kernel_integral p", 2)
     if p % 2:
         raise DomainError("sin_kernel_integral requires even p, got %d" % p)
     s = ctx.positive(s, "sin_kernel_integral", "s")
     tol = ctx.positive(tol, "sin_kernel_integral", "tol")
-    bud = _Budget(budget)
-
-    def integrand(u):
-        return ctx.power(u, p) * ctx.sin(s * u) / ctx.expm1(u)
-
-    panels = _half_period_panels(ctx, s, p, 1, tol)
-    tail = _envelope_tail(ctx, p, 1)
-    return _march(ctx, integrand, panels, tail, tol, bud, degree=4)
+    return _oscillatory(ctx, p, s, False, tol, _Budget(budget))
 
 
 def _estimate_panels(tol, p, rate, width):

@@ -98,10 +98,10 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
     the weight has already collapsed.  The outer quadrature itself gets
     tol/8.
 
-    The inner integrals share one dict of the v-independent factor
-    w^{2n-1} and expm1(2 pi w) per node w.  It is filled only by the inner
-    integrals with v <= pi, whose panels are the unit panels every such v
-    shares; above pi the panels, and so the nodes, change with v.
+    The inner integrals at v <= pi run on the unit panels that every such
+    v shares, so their node tables and panel-start factors, which do not
+    depend on v, come from quadrature's module caches; above pi the panels
+    change with v and each inner integral builds its own.
     """
     n = check_int(n, "verify_degree_representation n", 1)
     t = ctx.positive(t, "verify_degree_representation")
@@ -115,13 +115,9 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
     # inner integral at large v
     moment_bound = 3 * abs(ctx.mpf(combinatorics.bernoulli(2 * n))) / (4 * n) + 1
 
-    weights = {}
-
     def inner(v):
         relax = ctx.exp(3 * t * v / 4)
-        return quadrature.cos_kernel_integral(
-            ctx, n, v, tol_inner * relax, _weights=weights
-        ).value
+        return quadrature.cos_kernel_integral(ctx, n, v, tol_inner * relax).value
 
     outer = quadrature.laplace(ctx, inner, t, tol / 8, kernel_bound=moment_bound)
     rhs = 2 * outer.value

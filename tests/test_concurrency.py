@@ -1,4 +1,5 @@
-"""The exact and fixed-point coefficient caches under concurrent first use.
+"""The exact and fixed-point coefficient caches, and quadrature's frame
+tables, under concurrent first use.
 
 Each case runs in a fresh interpreter, so the caches start empty, with four
 threads released together and a tiny thread switch interval, so that the
@@ -14,7 +15,15 @@ import subprocess
 import sys
 
 import cmlab
-from cmlab import K_kernel, PrecisionContext, f_kernel, polygamma, remainder_jet
+from cmlab import (
+    K_kernel,
+    PrecisionContext,
+    cos_kernel_integral,
+    f_kernel,
+    polygamma,
+    remainder_jet,
+    sin_kernel_integral,
+)
 
 from test_combinatorics import akiyama_tanigawa
 
@@ -29,14 +38,19 @@ JET_DIGITS = (40, 130, 50, 45)
 JET_NS = range(3, 31)
 # the same jump for the kernels' Taylor tables, on both kernel branches
 KERNEL_DIGITS = (40, 130, 50)
+# the oscillatory integrals on unit panels (v <= pi, whose tables go to the
+# module caches), on panels pi/v wide, and the sine moments
+QUADRATURE_DIGITS = (30, 45)
 
 _SCRIPT = """
 import json, sys, threading
 sys.setswitchinterval(1e-6)
-from cmlab import K_kernel, PrecisionContext, bernoulli, f_kernel, polygamma, remainder_jet
+from cmlab import (
+    K_kernel, PrecisionContext, bernoulli, cos_kernel_integral, f_kernel, polygamma,
+    remainder_jet, sin_kernel_integral)
 
-THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, KERNEL_DIGITS = (
-    %d, %d, range(%d, %d), %r, range(%d, %d), %r)
+THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, KERNEL_DIGITS, QUADRATURE_DIGITS = (
+    %d, %d, range(%d, %d), %r, range(%d, %d), %r, %r)
 
 
 def bernoulli_fill():
@@ -67,11 +81,26 @@ def kernels():
     return out
 
 
+def oscillatory():
+    out = []
+    for d in QUADRATURE_DIGITS:
+        ctx = PrecisionContext(d)
+        tol = ctx.mpf(10) ** (8 - d)
+        for res in (
+            cos_kernel_integral(ctx, 2, "1.5", tol),
+            cos_kernel_integral(ctx, 2, "7", tol),
+            sin_kernel_integral(ctx, 2, "1", tol),
+        ):
+            out.append(repr((res.value, res.est_error, res.evaluations)))
+    return out
+
+
 work = {
     "bernoulli": bernoulli_fill,
     "polygamma": polygamma_sweep,
     "jet": jets,
     "kernel": kernels,
+    "quadrature": oscillatory,
 }[sys.argv[1]]
 barrier = threading.Barrier(THREADS)
 errors = []
@@ -101,6 +130,7 @@ print(json.dumps({"errors": errors, "threads": results, "after": work()}))
     JET_NS.start,
     JET_NS.stop,
     KERNEL_DIGITS,
+    QUADRATURE_DIGITS,
 )
 
 
@@ -157,4 +187,19 @@ def test_kernels_filled_concurrently_match_single_thread():
         vals = [f_kernel(ctx, n, v) for n in range(5) for v in ("0.3", "2")]
         vals += [K_kernel(ctx, m, v) for m in range(1, 10) for v in ("0.3", "2")]
         single.append(repr(vals))
+    _assert_all_equal(result, single)
+
+
+def test_oscillatory_tables_filled_concurrently_match_single_thread():
+    result = _race_in_fresh_interpreter("quadrature")
+    single = []
+    for d in QUADRATURE_DIGITS:
+        ctx = PrecisionContext(d)
+        tol = ctx.mpf(10) ** (8 - d)
+        for res in (
+            cos_kernel_integral(ctx, 2, "1.5", tol),
+            cos_kernel_integral(ctx, 2, "7", tol),
+            sin_kernel_integral(ctx, 2, "1", tol),
+        ):
+            single.append(repr((res.value, res.est_error, res.evaluations)))
     _assert_all_equal(result, single)

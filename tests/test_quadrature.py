@@ -204,58 +204,73 @@ def test_cos_kernel_integral_matches_K(n, v):
     assert abs(res.value - expected) < ctx.mpf(10) ** (-20)
 
 
+def _fresh_frame_caches(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_OFFSET_CACHE", {})
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cos_kernel_integral_shared_weights_are_bit_identical(n):
-    # one weights dict across v below and above pi, repeated v and mixed
-    # tolerances: every result equals the one computed without the dict
+def test_cos_kernel_integral_cold_and_warm_tables_are_bit_identical(n, monkeypatch):
+    # v below and above pi, repeated v and mixed tolerances: each result
+    # from tables that earlier calls left in the module caches equals the
+    # one from empty caches
     ctx = PrecisionContext(25)
-    weights = {}
     cases = [("0.5", -15), ("4", -15), ("2", -20), ("0.5", -12), ("3.1", -15), ("7.5", -12)]
     cases += [("2", -15), ("4", -20), ("0.25", -20)]
-    for v, exp in cases:
-        tol = ctx.mpf(10) ** exp
-        shared = cos_kernel_integral(ctx, n, v, tol, _weights=weights)
-        plain = cos_kernel_integral(ctx, n, v, tol)
-        assert shared.value == plain.value
-        assert shared.est_error == plain.est_error
-        assert shared.evaluations == plain.evaluations
-    # the dict keeps the two factors, not their quotient, which would round
-    # differently from the unshared integrand
-    assert weights
-    for key, pair in weights.items():
-        w = ctx.mpf(key)
-        assert pair == (ctx.power(w, 2 * n - 1), ctx.expm1(2 * ctx.pi * w))
+    _fresh_frame_caches(monkeypatch)
+    warm = [cos_kernel_integral(ctx, n, v, ctx.mpf(10) ** exp) for v, exp in cases]
+    assert quadrature._NODE_CACHE and quadrature._OFFSET_CACHE
+    for (v, exp), shared in zip(cases, warm):
+        _fresh_frame_caches(monkeypatch)
+        cold = cos_kernel_integral(ctx, n, v, ctx.mpf(10) ** exp)
+        assert shared.value == cold.value
+        assert shared.est_error == cold.est_error
+        assert shared.evaluations == cold.evaluations
 
 
-def test_cos_kernel_integral_shares_no_weights_above_pi():
-    # above pi the panels are narrower than 1 and their nodes depend on v
+def test_frame_caches_stay_bounded(monkeypatch):
+    # their keys hold no v: after the first integral at v <= pi and the
+    # first above, 78 more at other v add no entry
     ctx = PrecisionContext(25)
-    weights = {}
+    tol = ctx.mpf(10) ** (-15)
+    below = [ctx.pi * k / 40 for k in range(40, 0, -1)]
+    above = [ctx.pi * (1 + ctx.mpf(k) / 4) for k in range(1, 41)]
+    _fresh_frame_caches(monkeypatch)
+    cos_kernel_integral(ctx, 2, below[0], tol)
+    cos_kernel_integral(ctx, 2, above[0], tol)
+    sizes = len(quadrature._NODE_CACHE), len(quadrature._OFFSET_CACHE)
+    assert min(sizes) > 0
+    for v in below[1:] + above[1:]:
+        cos_kernel_integral(ctx, 2, v, tol)
+    assert (len(quadrature._NODE_CACHE), len(quadrature._OFFSET_CACHE)) == sizes
+
+
+def test_frame_caches_hold_no_tables_above_pi(monkeypatch):
+    # above pi the panels are pi/v wide and every table is the call's own
+    ctx = PrecisionContext(25)
+    _fresh_frame_caches(monkeypatch)
     for v in ("4", "10", ctx.pi * (1 + ctx.mpf(10) ** (-20))):
-        cos_kernel_integral(ctx, 2, v, ctx.mpf(10) ** (-15), _weights=weights)
-    assert weights == {}
-    cos_kernel_integral(ctx, 2, ctx.pi, ctx.mpf(10) ** (-15), _weights=weights)
-    assert weights
+        cos_kernel_integral(ctx, 2, v, ctx.mpf(10) ** (-15))
+    sin_kernel_integral(ctx, 2, 5, ctx.mpf(10) ** (-15))
+    assert quadrature._NODE_CACHE == {} and quadrature._OFFSET_CACHE == {}
+    cos_kernel_integral(ctx, 2, ctx.pi, ctx.mpf(10) ** (-15))
+    assert quadrature._NODE_CACHE and quadrature._OFFSET_CACHE
 
 
-def test_degree_representation_shares_one_weights_dict(monkeypatch):
-    # the inner integrals of one check share one dict; the counts do not
-    # depend on the machine
+def test_degree_representation_inner_integral_counts(monkeypatch):
+    # the counts do not depend on the machine, nor on how the panels are summed
     calls = []
     inner = quadrature.cos_kernel_integral
 
-    def recording(ctx, n, v, tol, budget=quadrature.DEFAULT_BUDGET, _weights=None):
-        res = inner(ctx, n, v, tol, budget, _weights=_weights)
-        calls.append((_weights, res.evaluations))
+    def recording(ctx, n, v, tol, budget=quadrature.DEFAULT_BUDGET):
+        res = inner(ctx, n, v, tol, budget)
+        calls.append(res.evaluations)
         return res
 
     monkeypatch.setattr(quadrature, "cos_kernel_integral", recording)
     verify_degree_representation(PrecisionContext(30), 1, 10, 1e-15)
-    weights = calls[0][0]
-    assert all(w is weights for w, _ in calls)
     assert len(calls) == 108
-    assert sum(evals for _, evals in calls) == 12834
-    assert len(weights) == 180
+    assert sum(calls) == 12834
 
 
 def test_cos_kernel_integral_domain():
@@ -296,6 +311,50 @@ def test_sin_kernel_integral_signs():
     neg = sin_kernel_integral(ctx, 4, 5, tol).value
     assert neg < 0
     assert abs(neg + ctx.mpf("0.00384")) < ctx.mpf("2e-4")
+
+
+def hurwitz_cos_oracle(n, v, digits):
+    """int w^{2n-1} [1 - cos(wv)]/(e^{2 pi w}-1) dw
+    = (2n-1)!/(2 pi)^{2n} [zeta(2n) - Re zeta(2n, 1 - i v/(2 pi))]."""
+    with mpmath.workdps(2 * digits + 20):
+        two_pi = 2 * mpmath.pi
+        hurwitz = mpmath.re(mpmath.zeta(2 * n, 1 - 1j * mpmath.mpf(v) / two_pi))
+        return +(mpmath.factorial(2 * n - 1) / two_pi ** (2 * n) * (mpmath.zeta(2 * n) - hurwitz))
+
+
+def hurwitz_sin_oracle(p, s, digits):
+    """int u^p sin(su)/(e^u - 1) du = p! Im zeta(p+1, 1 - i s)."""
+    with mpmath.workdps(2 * digits + 20):
+        return +(mpmath.factorial(p) * mpmath.im(mpmath.zeta(p + 1, 1 - 1j * mpmath.mpf(s))))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_oscillatory_error_bounds_hold(digits):
+    # |value - truth| <= est_error on both sides of pi, where the panels
+    # change from unit to pi/v wide, and far above it
+    ctx = PrecisionContext(digits)
+    tol = ctx.mpf(10) ** (5 - digits)
+    for n in (1, 2, 3):
+        for v in ("0.1", "1", "3.14", "3.15", "4", "10", "50"):
+            res = cos_kernel_integral(ctx, n, v, tol)
+            assert res.est_error < tol
+            assert abs(res.value - ctx.mpf(hurwitz_cos_oracle(n, v, digits))) <= res.est_error
+    for p in (2, 4):
+        for s in ("0.5", "1", "3", "5", "20"):
+            res = sin_kernel_integral(ctx, p, s, tol)
+            assert res.est_error < tol
+            assert abs(res.value - ctx.mpf(hurwitz_sin_oracle(p, s, digits))) <= res.est_error
+
+
+def test_oscillatory_integrals_leave_a_shared_context_alone():
+    # the frame's tables are built on a boosted context, which is shared
+    ctx = PrecisionContext(20).boosted(7)
+    work = ctx.boosted(7)
+    precs = ctx.prec, work.prec
+    cos_kernel_integral(ctx, 2, "1.5", ctx.mpf(10) ** (-20))
+    cos_kernel_integral(ctx, 2, "7", ctx.mpf(10) ** (-20))
+    sin_kernel_integral(ctx, 2, "5", ctx.mpf(10) ** (-20))
+    assert (ctx.prec, work.prec) == precs
 
 
 def test_sin_kernel_integral_domain():
