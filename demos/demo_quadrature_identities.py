@@ -32,13 +32,20 @@ def main():
 
     print("elementary Laplace transforms")
     print("-" * 68)
+    # (label, kernel, t, exact, a bound on |kernel|): v^4 e^-v peaks at v = 4
     cases = [
-        ("1/2          ", lambda v: ctx.mpf("0.5"), "1", ctx.mpf("0.5")),
-        ("v^4 -> 24/t^5", lambda v: v ** 4, "3", ctx.mpf(24) / ctx.mpf(243)),
-        ("e^-v -> 1/(t+1)", lambda v: ctx.exp(-v), "1", ctx.mpf("0.5")),
+        ("1/2          ", lambda v: ctx.mpf("0.5"), "1", ctx.mpf("0.5"), ctx.mpf("0.5")),
+        (
+            "v^4 e^-v -> 24/(t+1)^5",
+            lambda v: v ** 4 * ctx.exp(-v),
+            "2",
+            ctx.mpf(24) / ctx.mpf(243),
+            256 * ctx.exp(-4),
+        ),
+        ("e^-v -> 1/(t+1)", lambda v: ctx.exp(-v), "1", ctx.mpf("0.5"), 1),
     ]
-    for label, fn, t, exact in cases:
-        res = laplace(ctx, fn, t, tol)
+    for label, fn, t, exact, bound in cases:
+        res = laplace(ctx, fn, t, tol, kernel_bound=bound)
         print(
             "  %s at t=%s: residual %.2e  (%d evaluations)"
             % (label, t, float(abs(res.value - exact)), res.evaluations)

@@ -42,7 +42,6 @@ from .quadrature import (
 from .remainders import (
     TailLimitEntry,
     TailLimits,
-    ratio_bound,
     remainder,
     remainder_d1,
     remainder_d2,
@@ -98,7 +97,6 @@ __all__ = [
     "remainder_d2",
     "remainder_deriv",
     "remainder_jet",
-    "ratio_bound",
     "TailLimitEntry",
     "TailLimits",
     "tail_limits",

@@ -53,9 +53,9 @@ node's quotient is floored once.  Divided by expm1(r y) + G >= expm1(r y)
 and summed with weights whose w_i/(1 + x_i) add up to a few times log N,
 this leaves the panel's value off by at most a few dozen units times the
 envelope u^p/(e^{r u} - 1) at its largest on the panel: with F = prec + 20,
-far below the rounding floor 10 eps (1 + |hi|) that every panel already
-accepts.  Like that floor, the frame is absolute: an integral far below
-its envelope (the cosine kernel at v near 0) keeps no more than that.
+far below the rounding floor 10 eps (1 + |hi|) that every panel counts in
+its error bound.  Like that floor, the frame is absolute: an integral far
+below its envelope (the cosine kernel at v near 0) keeps no more than that.
 
 The half-period panels are pi/s or pi/v wide, capped at 1 and cut to
 prec - 32 bits, so that panel ends and bisection points are exact and a
@@ -101,9 +101,10 @@ _MAX_SPLIT_DEPTH = 40
 class IntegralResult:
     """Value of a semi-infinite integral with a conservative error bound.
 
-    ``est_error`` adds the nested-rule disagreement of every panel to the
-    analytic bound on the discarded tail; on success it is below the
-    tolerance that was requested.
+    ``est_error`` adds, for every panel, the nested-rule disagreement and
+    the rounding floor 10 eps (1 + |panel value|) to the analytic bound on
+    the discarded tail; on success it is below the tolerance that was
+    requested.
     """
 
     value: object
@@ -169,7 +170,8 @@ def _pointwise(ctx, f):
 
 def _integrate_panel(ctx, rule, a, b, panel_tol, budget, degree=5, depth=0):
     """Nested-pair panel integral: pairs of consecutive degree climb from
-    degree-2 until two rules agree, else the panel is bisected (bounds add)."""
+    degree-2 until two rules agree, else the panel is bisected (bounds add).
+    The bound is the pair's disagreement plus the rounding floor."""
     hi = _panel(rule, a, b, budget, degree - 2)
     for d in range(degree - 1, degree + 2):
         lo, hi = hi, _panel(rule, a, b, budget, d)
@@ -177,7 +179,7 @@ def _integrate_panel(ctx, rule, a, b, panel_tol, budget, degree=5, depth=0):
         # rounding floor: below this level the disagreement is noise, not signal
         floor = 10 * ctx.eps * (1 + abs(hi))
         if diff <= panel_tol or diff <= floor:
-            return hi, diff
+            return hi, diff + floor
     if depth >= _MAX_SPLIT_DEPTH:
         raise IntegrationError(
             "panel [%s, %s] did not converge after %d bisections" % (a, b, depth),
@@ -250,12 +252,9 @@ def _march(ctx, rule, panels, tail, tol, bud, degree=5, total=0, err=0):
     try:
         for a, b, panel_tol in panels:
             val, perr = _integrate_panel(ctx, rule, a, b, panel_tol, bud, degree)
-            # a panel is finished once its tail bound is known too: the
-            # sampled Laplace tail spends budget and may raise
-            rest_b = tail(b)
             total += val
             err += perr
-            rest = rest_b
+            rest = tail(b)
             if rest is not None and rest < tol / 4:
                 return IntegralResult(total, err + rest, bud.used)
         raise IntegrationError(
@@ -275,55 +274,29 @@ def laplace(
     t,
     tol,
     budget: int = DEFAULT_BUDGET,
-    kernel_bound=None,
+    *,
+    kernel_bound,
 ) -> IntegralResult:
-    """int_0^inf kernel(v) e^{-tv} dv for a kernel of at most polynomial
-    growth.
+    """int_0^inf kernel(v) e^{-tv} dv for a kernel bounded by the caller's
+    uniform bound |kernel(v)| <= ``kernel_bound`` on (0, inf).
 
     Panels are the variable-doubling sequence [0,1], [1,2], [2,4], ...;
-    integration stops when the analytic tail bound (a sampled sup of the
-    kernel times e^{-tV}/t, with a growth-degree correction) drops below
-    the tolerance.  ``kernel_bound``, when given, is a caller-supplied
-    uniform bound on |kernel| that replaces the sampling.
+    integration stops when the analytic tail bound
+    kernel_bound e^{-tb}/t on int_b^inf drops below the tolerance.
     """
     t = ctx.positive(t, "laplace")
     tol = ctx.positive(tol, "laplace", "tol")
+    bound = ctx.positive(kernel_bound, "laplace", "kernel_bound")
     bud = _Budget(budget)
 
     def integrand(v):
         return kernel(v) * ctx.exp(-t * v)
 
     def tail(b):
-        return _laplace_tail(ctx, kernel, t, b, bud, kernel_bound)
+        return bound * ctx.exp(-t * b) / t
 
     panels = _doubling_panels(ctx, ctx.mpf(0), ctx.mpf(1), tol)
     return _march(ctx, _pointwise(ctx, integrand), panels, tail, tol, bud)
-
-
-def _laplace_tail(ctx, kernel, t, b, bud, kernel_bound):
-    """Conservative bound on int_b^inf |kernel| e^{-tv} dv, or None if the
-    decay has not yet overtaken the kernel's growth at v = b."""
-    if kernel_bound is not None:
-        return ctx.mpf(kernel_bound) * ctx.exp(-t * b) / t
-    # sample the kernel on [b, b + extent] to estimate size and growth
-    extent = max(b, 4 / t)
-    pts = [b + extent * k / 8 for k in range(9)]
-    bud.spend(len(pts))
-    vals = [abs(kernel(p)) for p in pts]
-    sup0 = max(vals[0], vals[1])
-    if max(vals) == 0:
-        return ctx.mpf(0)
-    if vals[0] == 0 or vals[-1] == 0:
-        deg = 0
-    else:
-        # from binary exponents: the samples may span more than a float's range
-        growth = _log2(ctx.mpf(vals[-1])) - _log2(ctx.mpf(vals[0]))
-        deg = max(0, math.ceil(growth / _log2(pts[-1] / pts[0])) + 1)
-    # decay must already dominate the growth, with margin, before we trust
-    # the envelope int_b^inf (v/b)^deg e^{-tv} dv <= e^{-tb}/(t - deg/b)
-    if float(t * b) <= 2 * deg + 1:
-        return None
-    return 4 * sup0 * ctx.exp(-t * b) / (t - ctx.mpf(deg) / b)
 
 
 # -- Bose-type moments -------------------------------------------------

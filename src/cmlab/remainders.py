@@ -9,8 +9,7 @@ With c_k = B_{2k}/((2k)(2k-1)) and the elementary part
 Every R_n is completely monotonic on (0, inf).  The module exposes R_n,
 the positive first-derivative remainder -R_n' (phi(t) is the n = 1 case),
 the second derivative R_n'', arbitrary-order derivatives for the degree
-machinery, the pointwise degree bound -t R_n''/R_n', and the power-scaled
-limits of R_n' at both ends of the axis.
+machinery, and the power-scaled limits of R_n' at both ends of the axis.
 
 ``remainder_jet`` returns R_n^(j) for a whole range of orders j from
 one call to gammakit's ``_stirling_jet``, the one route ``ln_gamma`` and
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import bernoulli
-from .errors import DomainError, check_int
+from .errors import check_int
 from .gammakit import _stirling_jet
 from .precision import PrecisionContext
 
@@ -35,7 +34,6 @@ __all__ = [
     "remainder_d2",
     "remainder_deriv",
     "remainder_jet",
-    "ratio_bound",
     "TailLimitEntry",
     "TailLimits",
     "tail_limits",
@@ -77,16 +75,6 @@ def remainder_d1(ctx: PrecisionContext, n, t):
 def remainder_d2(ctx: PrecisionContext, n, t):
     """R_n''(t) = (-1)^n A_n''(t); non-negative by complete monotonicity."""
     return remainder_deriv(ctx, n, 2, t)
-
-
-def ratio_bound(ctx: PrecisionContext, n, t):
-    """-t R_n''(t)/R_n'(t), the pointwise necessary upper bound for the
-    degree of -R_n'; tends to 2n as t -> 0+ for n >= 1."""
-    t0 = ctx.positive(t, "remainder evaluation")
-    d1, d2 = remainder_jet(ctx, n, 1, 2, t0)
-    if not ctx.isfinite(d1) or d1 == 0:
-        raise DomainError("ratio_bound: -R_%d'(%s) vanished or overflowed" % (n, t0))
-    return -t0 * d2 / d1
 
 
 @dataclass

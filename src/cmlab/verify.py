@@ -110,9 +110,8 @@ def verify_degree_representation(ctx: PrecisionContext, n: int, t, tol):
     lhs = ctx.power(t, 2 * n - 1) * remainders.remainder_d1(ctx, n, t)
 
     tol_inner = tol * t / 12
-    # the inner integral is bounded by twice the pure Bose moment; give the
-    # outer tail test that bound so it never has to sample the (expensive)
-    # inner integral at large v
+    # since 1 - cos <= 2, the inner integral is at most twice the Bose
+    # moment |B_2n|/(4n); this, with margin, bounds the outer kernel
     moment_bound = 3 * abs(ctx.mpf(combinatorics.bernoulli(2 * n))) / (4 * n) + 1
 
     def inner(v):

@@ -22,7 +22,7 @@ from cmlab import (
     degree_estimate,
     first_deriv_bound,
     psi_integral_check,
-    ratio_bound,
+    remainder_jet,
     remark1_chain,
     remark3_inequalities,
     sign_scan,
@@ -115,7 +115,9 @@ def test_criterion_04_double_inequality():
         fam = fams["negRprime:%d" % n]
         lower = cm_check(ctx, fam, 2 * n - 1, order=8, grid=DEFAULT_GRID)
         bound = first_deriv_bound(ctx, fam, grid=extended)
-        ratio = ratio_bound(ctx, n, ctx.mpf(10) ** (-4))
+        t = ctx.mpf(10) ** (-4)
+        d1, d2 = remainder_jet(ctx, n, 1, 2, t)
+        ratio = -t * d2 / d1
         good = (
             lower.passed
             and bound <= 2 * n + ctx.mpf(10) ** (-2)

@@ -25,7 +25,6 @@ from cmlab import (
     f_kernel,
     laplace,
     polygamma,
-    ratio_bound,
     remainder,
     remainder_deriv,
     remainder_jet,
@@ -98,7 +97,6 @@ INTEGER_ROWS = [
     ("conjecture_probe-n", lambda: conjecture_probe(CTX, 2.5, 1), "conjecture_probe n"),
     ("conjecture_probe-m", lambda: conjecture_probe(CTX, 1, 2.5), "conjecture_probe m"),
     ("remainder-n", lambda: remainder(CTX, 2.5, 1), "truncation order n"),
-    ("ratio_bound-n", lambda: ratio_bound(CTX, 2.5, 1), "truncation order n"),
     ("remainder_deriv-j", lambda: remainder_deriv(CTX, 1, 2.5, 1), "derivative order j_hi"),
     ("remainder_jet-j_lo", lambda: remainder_jet(CTX, 1, 0.5, 2, 1), "derivative order j_lo"),
     ("tail_limits-n", lambda: tail_limits(CTX, 2.5), "tail_limits order n"),
@@ -117,7 +115,11 @@ INTEGER_ROWS = [
         lambda: sin_kernel_integral(CTX, 2.5, 1, TOL),
         "sin_kernel_integral p",
     ),
-    ("laplace-budget", lambda: laplace(CTX, _one, 1, TOL, budget=50.5), "evaluation budget"),
+    (
+        "laplace-budget",
+        lambda: laplace(CTX, _one, 1, TOL, budget=50.5, kernel_bound=1),
+        "evaluation budget",
+    ),
     ("bose_moment-budget", lambda: bose_moment(CTX, 3, TOL, budget=50.5), "evaluation budget"),
     (
         "cos_kernel_integral-budget",
@@ -145,7 +147,11 @@ INTEGER_ROWS = [
 ]
 
 REAL_ROWS = [
-    ("laplace-t-inf", lambda: laplace(CTX, _one, INF, TOL), "laplace requires finite t"),
+    (
+        "laplace-t-inf",
+        lambda: laplace(CTX, _one, INF, TOL, kernel_bound=1),
+        "laplace requires finite t",
+    ),
     ("bose_moment-s-inf", lambda: bose_moment(CTX, INF, TOL), "bose_moment requires finite s"),
     ("bose_moment-s-nan", lambda: bose_moment(CTX, NAN, TOL), "bose_moment requires finite s"),
     (
@@ -176,8 +182,16 @@ REAL_ROWS = [
 ]
 
 TOL_ROWS = [
-    ("laplace-tol-0", lambda: laplace(CTX, _one, 1, 0), "laplace requires finite tol"),
-    ("laplace-tol-nan", lambda: laplace(CTX, _one, 1, NAN), "laplace requires finite tol"),
+    (
+        "laplace-tol-0",
+        lambda: laplace(CTX, _one, 1, 0, kernel_bound=1),
+        "laplace requires finite tol",
+    ),
+    (
+        "laplace-tol-nan",
+        lambda: laplace(CTX, _one, 1, NAN, kernel_bound=1),
+        "laplace requires finite tol",
+    ),
     ("bose_moment-tol-0", lambda: bose_moment(CTX, 3, 0), "bose_moment requires finite tol"),
     (
         "cos_kernel_integral-tol-negative",
@@ -218,7 +232,7 @@ def test_bad_tolerance_raises_before_any_evaluation(call, what):
     assert time.perf_counter() - start < 0.5
 
 
-def test_laplace_checks_its_arguments_before_sampling_the_kernel():
+def test_laplace_checks_its_arguments_before_calling_the_kernel():
     calls = []
 
     def kernel(v):
@@ -227,5 +241,10 @@ def test_laplace_checks_its_arguments_before_sampling_the_kernel():
 
     for t, tol in ((INF, TOL), (1, 0), (1, -TOL)):
         with pytest.raises(DomainError):
-            laplace(CTX, kernel, t, tol)
+            laplace(CTX, kernel, t, tol, kernel_bound=1)
+    # before, a negative bound returned the first panel alone, and nan ran
+    # until the panels ran out
+    for bound in (-1, 0, NAN):
+        with pytest.raises(DomainError, match="laplace requires finite kernel_bound"):
+            laplace(CTX, kernel, 1, TOL, kernel_bound=bound)
     assert calls == []

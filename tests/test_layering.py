@@ -5,14 +5,20 @@ and is exempt).  The same reading checks that the shared boosted contexts
 stay unmutated: only ``PrecisionContext.__init__`` sets a context's
 precision, and only ``precision`` and ``cli`` build contexts.  A module's
 fill lock (a module-level ``threading.Lock()``) stays its own: no other
-module names it, so a table is filled only by the module that owns it."""
+module names it, so a table is filled only by the module that owns it.
+Every public function has a caller outside the tests: no public API that
+only its own test uses."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import cmlab
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmlab"
+DEMOS = SRC.parent.parent / "demos"
 
 LAYERS = (
     "errors",
@@ -163,3 +169,38 @@ def test_only_precision_and_cli_build_contexts(name):
     lines = _context_constructions(_tree(name))
     if name not in ("precision", "cli"):
         assert not lines, "%s builds a PrecisionContext at lines %s" % (name, lines)
+
+
+def _references(path):
+    """Names used in the file at ``path``, as Names or Attributes, outside
+    the body of the function that each name defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                own.setdefault(id(sub), set()).add(node.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name not in own.get(id(node), ()):
+            found.add(name)
+    return found
+
+
+PUBLIC_FUNCTIONS = sorted(
+    name for name in cmlab.__all__ if inspect.isfunction(getattr(cmlab, name))
+)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted(DEMOS.glob("*.py"))
+    used = set().union(*(_references(p) for p in files))
+    unused = [name for name in PUBLIC_FUNCTIONS if name not in used]
+    assert not unused, "only the tests call %s" % unused

@@ -37,19 +37,11 @@ def test_laplace_constant_kernel():
     assert res.evaluations > 0
 
 
-def test_laplace_linear_kernel_growth_path():
-    # no kernel_bound: forces the sampled growth-degree tail estimate
-    ctx = PrecisionContext(40)
-    tol = ctx.mpf(10) ** (-30)
-    t = ctx.mpf("1.5")
-    res = laplace(ctx, lambda v: v, t, tol)
-    assert abs(res.value - 1 / t**2) < tol
-
-
 def test_laplace_quartic_kernel():
+    # v^4 e^{-v} peaks at v = 4 with 256 e^{-4}; its transform at t = 2 is 24/3^5
     ctx = PrecisionContext(40)
     tol = ctx.mpf(10) ** (-30)
-    res = laplace(ctx, lambda v: v**4, 3, tol)
+    res = laplace(ctx, lambda v: v**4 * ctx.exp(-v), 2, tol, kernel_bound=256 * ctx.exp(-4))
     exact = ctx.mpf(24) / 243
     assert abs(res.value - exact) < tol
 
@@ -71,12 +63,14 @@ def test_laplace_of_f0_gives_half_minus_gamma():
 
 
 def test_laplace_kernel_beyond_the_float_range():
-    # sampled without kernel_bound, its values span far more than a float's
-    # range; int_0^inf 1e30 e^{-(v-50)^2} e^{-v} dv
+    # the kernel's values span far more than a float's range;
+    # int_0^inf 1e30 e^{-(v-50)^2} e^{-v} dv
     # = 1e30 e^{-49.75} (sqrt(pi)/2) erfc(-49.5)
     ctx = PrecisionContext(30)
     big = ctx.mpf("1e30")
-    res = laplace(ctx, lambda v: big * ctx.exp(-((v - 50) ** 2)), 1, ctx.mpf("1e-20"))
+    res = laplace(
+        ctx, lambda v: big * ctx.exp(-((v - 50) ** 2)), 1, ctx.mpf("1e-20"), kernel_bound=big
+    )
     with mpmath.workdps(50):
         half = mpmath.mpf(1) / 2
         exact = mpmath.mpf(10) ** 30 * mpmath.exp(half / 2 - 50) * mpmath.sqrt(mpmath.pi) * half
@@ -89,7 +83,7 @@ def test_laplace_domain_and_budget():
     ctx = PrecisionContext(40)
     tol = ctx.mpf(10) ** (-30)
     with pytest.raises(DomainError):
-        laplace(ctx, lambda v: v, 0, tol)
+        laplace(ctx, lambda v: v, 0, tol, kernel_bound=1)
     with pytest.raises(IntegrationError):
         laplace(ctx, lambda v: ctx.mpf(1), 1, tol, budget=50, kernel_bound=1)
 
@@ -173,6 +167,41 @@ def test_bose_moment_general_s_vs_zeta(s, digits):
         oracle = mpmath.gamma(sv + 1) * mpmath.zeta(sv + 1) / (2 * mpmath.pi) ** (sv + 1)
     assert abs(res.value - ctx.mpf(oracle)) < 2 * tol
     assert res.est_error < tol
+
+
+# (shape, digits, t or s, exact): laplace of e^{-v} is 1/(t+1), and the
+# Bose moment at s = 2k-1 is (-1)^(k-1) B_2k/(4k)
+POINTWISE_CASES = [
+    ("laplace", 45, "1", Fraction(1, 2)),
+    ("laplace", 60, "0.75", Fraction(4, 7)),
+    ("laplace", 60, "1", Fraction(1, 2)),
+] + [
+    ("bose", digits, s, exact)
+    for digits in (30, 60)
+    for s, exact in (
+        (1, Fraction(1, 24)),
+        (3, Fraction(1, 240)),
+        (5, Fraction(1, 504)),
+        (7, Fraction(1, 480)),
+        (9, Fraction(1, 264)),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "shape,digits,x,exact", POINTWISE_CASES, ids=["%s-%s-%s" % c[:3] for c in POINTWISE_CASES]
+)
+def test_pointwise_error_bounds_hold(shape, digits, x, exact):
+    # est_error bounds the true error, rounding included, and stays below tol
+    ctx = PrecisionContext(digits)
+    tol = ctx.mpf(10) ** (5 - digits)
+    if shape == "laplace":
+        res = laplace(ctx, lambda v: ctx.exp(-v), x, tol, kernel_bound=1)
+    else:
+        res = bose_moment(ctx, x, tol)
+    with mpmath.workdps(2 * digits):
+        error = abs(mpmath.mpf(res.value) - mpmath.mpf(exact.numerator) / exact.denominator)
+    assert error <= res.est_error < tol
 
 
 def test_bose_moment_domain():
