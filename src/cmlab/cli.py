@@ -200,6 +200,7 @@ def _cmd_degree(args) -> int:
         },
         "result": {
             "failed_alpha": _fmt(ctx, bracket.failed_alpha),
+            "failed_undecided": bracket.failed_undecided,
             "first_deriv_bound": _fmt(ctx, bracket.first_deriv_bound),
             "order_used": bracket.order_used,
             "passed_alpha": _fmt(ctx, bracket.passed_alpha),

@@ -8,7 +8,8 @@ alpha for which g stays completely monotonic, so a bisection on alpha
 between a passing and a failing endpoint brackets it.
 
 The check is one-sided by construction: a failure is a certificate (an
-explicit (j, t) witness up to rounding), while a pass only says no
+explicit (j, t) witness up to rounding, and reported undecided where it
+lies inside its sum's rounding noise), while a pass only says no
 violation was visible at this grid, derivative order and tolerance.
 Degree brackets inherit that asymmetry; ``passed_alpha`` can overshoot
 the true degree when the grid misses the violating region, which is why
@@ -87,14 +88,17 @@ class FunctionFamily:
 class CMCheckResult:
     """Outcome of one t^alpha-weighted monotonicity sweep.
 
-    On failure, ``order``/``t``/``value`` hold the first witness in scan
-    order (derivative order outer, grid ascending inner).
+    On failure, ``order``/``t``/``value`` hold the first decided witness
+    in scan order (derivative order outer, grid ascending inner).  Where
+    every failure lies inside the rounding noise of its sum, they hold the
+    first of those and ``undecided`` is set.
     """
 
     passed: bool
     order: Optional[int] = None
     t: object = None
     value: object = None
+    undecided: bool = False
 
     def __bool__(self):
         return self.passed
@@ -102,13 +106,15 @@ class CMCheckResult:
 
 @dataclass
 class DegreeBracket:
-    """Bisection output: alpha still passing, alpha already failing."""
+    """Bisection output: alpha still passing, alpha already failing, and
+    whether the check that failed at ``failed_alpha`` was undecided."""
 
     passed_alpha: object
     failed_alpha: object
     order_used: int
     grid: GridSpec
     first_deriv_bound: object
+    failed_undecided: bool = False
 
     @property
     def width(self):
@@ -186,6 +192,12 @@ def cm_check(
     wrong sign.  The float sums read the float copies of the jet table's
     rows, so verdicts and witnesses are those of the exact sums alone.
 
+    A failing pair whose exact sum lies within 10^(3-digits) of the sum of
+    its terms' absolute values is undecided: each H is within 10^(3-digits)
+    relative and the sum is exact, so its sign may be rounding.  The scan
+    goes on past it; a decided failure is returned at once, and where only
+    undecided ones turn up the result is the first of them.
+
     ``_cache`` may be a jet table of this context, family and grid, shared
     between calls: its jets dominate the cost of scanning many alphas.
     """
@@ -202,6 +214,8 @@ def cm_check(
         raise DomainError("alpha must be finite and >= 0, got %s" % alpha0)
     table = _table(ctx, family, grid, _cache)
     tol = ctx.mpf(10) ** (-(ctx.digits // 2))
+    noise = ctx.mpf(10) ** (3 - ctx.digits)
+    undecided = None
 
     # coef[j][i] = C(j,i) <alpha>_i, with d^i/dt^i t^alpha = <alpha>_i t^(alpha-i)
     fall = [ctx.mpf(1)]
@@ -234,8 +248,12 @@ def cm_check(
             if negate:
                 signed = -signed
             if not signed >= -tol:
-                return CMCheckResult(False, j, +t, signed)
-    return CMCheckResult(True)
+                size = ctx.dot([abs(c) for c in cj], [abs(h) for h in hs[j::-1]])
+                if not abs(dot) <= noise * size:
+                    return CMCheckResult(False, j, +t, signed)
+                if undecided is None:
+                    undecided = CMCheckResult(False, j, +t, signed, undecided=True)
+    return CMCheckResult(True) if undecided is None else undecided
 
 
 def first_deriv_bound(
@@ -288,8 +306,10 @@ def degree_estimate(
 
     ``alpha_lo`` must pass and ``alpha_hi`` must fail, otherwise a
     :class:`BracketError` reports the offending endpoint (with the failure
-    witness where there is one).  Without ``alpha_hi`` the failing end is
-    the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
+    witness where there is one, and whether it is undecided).  An undecided
+    check bisects as a failure, and ``failed_undecided`` says whether the
+    check at the failing end was one.  Without ``alpha_hi`` the failing end
+    is the first integer above max(``first_deriv_bound``, ``alpha_lo``) +
     ``resolution``: every alpha above the bound fails the j = 1 check.  The
     returned bracket has width at most ``resolution``.  A non-finite end
     or an ``order`` below 1 (order 0 ignores alpha) is a :class:`DomainError`,
@@ -311,8 +331,15 @@ def degree_estimate(
     r_lo = cm_check(ctx, family, lo, order=order, grid=grid, _cache=table)
     if not r_lo.passed:
         raise BracketError(
-            "alpha_lo=%s already fails for %s: derivative %s at t=%s gave %s"
-            % (lo, family.name, r_lo.order, r_lo.t, r_lo.value)
+            "alpha_lo=%s already fails for %s: derivative %s at t=%s gave %s%s"
+            % (
+                lo,
+                family.name,
+                r_lo.order,
+                r_lo.t,
+                r_lo.value,
+                ", inside its rounding noise (undecided)" if r_lo.undecided else "",
+            )
         )
     bound = first_deriv_bound(ctx, family, grid=grid, _cache=table)
     if hi is None:
@@ -326,13 +353,15 @@ def degree_estimate(
             % (hi, family.name)
         )
 
+    undecided = r_hi.undecided
     while hi - lo > res:
         mid = (lo + hi) / 2
-        if cm_check(ctx, family, mid, order=order, grid=grid, _cache=table).passed:
+        r_mid = cm_check(ctx, family, mid, order=order, grid=grid, _cache=table)
+        if r_mid.passed:
             lo = mid
         else:
-            hi = mid
-    return DegreeBracket(lo, hi, order, grid, bound)
+            hi, undecided = mid, r_mid.undecided
+    return DegreeBracket(lo, hi, order, grid, bound, undecided)
 
 
 # -- built-in families ------------------------------------------------

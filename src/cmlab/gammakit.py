@@ -44,7 +44,12 @@ table keyed by (m, n), and ``_laurent`` sums them exactly in integers from
 t's mantissa before one division, so t may be 1e-300.  With n and t > 1
 the sum, of size t^-(2n+m+2) against ingredients of size t^-m (ln t for
 m = 0, t ln t for m = -1), runs under (2n+m+3) log10 t + 15 more digits,
-which the switch keeps bounded.
+which the switch keeps bounded.  At t <= 1 it runs under the guard digits
+alone: there |R_n^(m+1)(t)| >= |R_n^(m+1)(1)| by complete monotonicity and
+|Lambda| <= |R| + |G|, so the sum loses at most
+log10(1 + 2 max|G_m(1+t)| / |R_n^(m+1)(1)|) digits, under 3 for every
+n <= 30 and order m <= 63 (max|G_m(1+t)| is m! zeta(m+1) for m >= 1,
+gamma for psi and 0.1215 for ln Gamma).
 
 ``_jet1p`` runs in one fixed-point frame: every number is a multiple of
 2^-F with F = prec + guard + (m_hi+2) log2 z (guard = ``_GUARD`` bits,
@@ -399,9 +404,9 @@ def _stirling_jet(ctx: PrecisionContext, lo: int, hi: int, t, n=None):
             # the Bernoulli terms k > n shrink from the first on: nothing cancels
             wctx = ctx.boosted(guard)
             return [ctx.mpf(v) for v in _tail(wctx, lo, hi, wctx.mpf(t), n + 1)]
-        # t is a float here; these digits absorb the cancellation
-        lt = math.log10(float(t)) if t > 1 else 0.0
-        extra += int(math.ceil((2 * n + hi + 3) * lt)) + 15
+        if t > 1:
+            # t is a float here; these digits absorb the cancellation
+            extra += int(math.ceil((2 * n + hi + 3) * math.log10(float(t)))) + 15
     wctx = ctx.boosted(extra)
     tw = wctx.mpf(t)
     gs = _jet1p(wctx, lo, hi, tw)

@@ -159,6 +159,7 @@ def test_degree_json(capsys):
     result = payload["result"]
     assert set(result) == {
         "failed_alpha",
+        "failed_undecided",
         "first_deriv_bound",
         "order_used",
         "passed_alpha",
@@ -166,6 +167,7 @@ def test_degree_json(capsys):
     }
     assert float(result["passed_alpha"]) == 1.0
     assert float(result["failed_alpha"]) == 1.25
+    assert result["failed_undecided"] is False
     assert float(result["width"]) == 0.25
     assert result["order_used"] == 4
     assert float(result["first_deriv_bound"]) > 1

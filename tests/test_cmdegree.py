@@ -524,17 +524,55 @@ def test_cm_check_matches_reference_beyond_float_range(alpha):
     assert verdict(got) == verdict(want)
 
 
+def inverse_square_deriv(ctx, j, t):
+    return (-1) ** j * math.factorial(j + 1) * ctx.mpf(t) ** (-j - 2)
+
+
 def test_cm_check_matches_reference_on_cancelling_sums():
     # h = t^-2 at alpha = 2: g = 1, so every sum of order j >= 1 is a
-    # cancellation down to rounding, which the float filter cannot sign
-    def deriv(ctx, j, t):
-        return (-1) ** j * math.factorial(j + 1) * ctx.mpf(t) ** (-j - 2)
-
+    # cancellation down to rounding, which the float filter cannot sign;
+    # each failure lies inside 10^(3-digits) of its terms' sizes, so the
+    # first of them is returned, undecided
     ctx = PrecisionContext(30)
-    fam = family("inverse-square", deriv)
+    fam = family("inverse-square", inverse_square_deriv)
     got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
     want = reference_cm_check(ctx, 2, 8, COARSE, _JetTable(ctx, fam, COARSE))
-    assert verdict(got) == verdict(want)
+    assert not want.passed
+    assert verdict(got) == verdict(want) and got.undecided
+
+
+def test_cm_check_decided_witness_wins_over_an_earlier_undecided_one():
+    # t^-2 with its third derivative 1e-3 too small above t = 100: at
+    # alpha = 2 the order-3 sum there is -1e-3 H_3, far outside the noise,
+    # while the same order's first failure, near t = 1e-6, is noise
+    def deriv(ctx, j, t):
+        value = inverse_square_deriv(ctx, j, t)
+        return value * (1 - ctx.mpf("1e-3")) if j == 3 and t > 100 else value
+
+    ctx = PrecisionContext(30)
+    fam = family("inverse-square-broken", deriv)
+    first = reference_cm_check(ctx, 2, 8, COARSE, _JetTable(ctx, fam, COARSE))
+    assert (first.order, float(first.t)) == (3, pytest.approx(1e-6))
+    got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
+    assert not got.passed and not got.undecided
+    assert got.order == 3 and got.t > 100
+    assert got.value == pytest.approx(-24e-3 * float(got.t) ** -3, rel=1e-6)
+
+
+@pytest.mark.parametrize("digits", [15, 20])
+def test_phi_below_25_digits_fails_only_undecided_at_its_degree(digits):
+    # the rounding noise of phi's sums near t = 1e-10, scaled by
+    # t^(alpha-j), reaches far below -10^-(digits//2) at alpha = 2: the
+    # bracket keeps that failing end, and reports it undecided
+    ctx = PrecisionContext(digits)
+    phi = builtin_families()["phi"]
+    res = cm_check(ctx, phi, 2, order=8, grid=DEFAULT_GRID)
+    assert not res.passed and res.undecided
+    b = degree_estimate(ctx, phi, 1, 3, resolution=0.05, order=8, grid=DEFAULT_GRID)
+    assert (b.passed_alpha, b.failed_alpha) == (ctx.mpf("1.96875"), 2)
+    assert b.failed_undecided
+    with pytest.raises(BracketError, match="undecided"):
+        degree_estimate(ctx, phi, 2, 3, resolution=0.05, order=8, grid=DEFAULT_GRID)
 
 
 @pytest.mark.parametrize("beta", ["0.7", "1.7", "2.3", "4.3"])
@@ -592,4 +630,5 @@ def test_degree_bisect_brackets_are_pinned(name, ends, bracket, bound):
         ctx, builtin_families()[name], *ends, resolution=0.05, order=8, grid=DEFAULT_GRID
     )
     assert (b.passed_alpha, b.failed_alpha) == tuple(ctx.mpf(x) for x in bracket)
+    assert not b.failed_undecided
     assert mpmath.nstr(b.first_deriv_bound, 25, strip_zeros=False) == bound

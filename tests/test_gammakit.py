@@ -215,3 +215,51 @@ def test_ln_gamma_and_polygamma_match_mpmath_oracle_on_seeded_sweep(digits):
                 if not near_zero and err > mpmath.mpf(10) ** (3 - digits) * abs(want):
                     failures.append(("relative", order, t, float(err / abs(want))))
     assert not failures, failures
+
+
+def _remainders_at_one(nmax, jmax):
+    """|R_n^(j)(1)| for n <= nmax, j <= jmax: mpmath's psi^(j-1)(1) (or
+    1 - ln(2 pi)/2 for j = 0) less the exact j-th derivative at t = 1 of
+    the rest of the head, (t - 1/2) ln t - t + sum_{k<=n} c_k t^(1-2k)
+    with c_k = B_2k/(2k(2k-1)).  Call under a working precision that
+    absorbs the head's size."""
+    c = [Fraction(*mpmath.bernfrac(2 * k)) / (2 * k * (2 * k - 1)) for k in range(1, nmax + 1)]
+    table = {}
+    for j in range(jmax + 1):
+        if j == 0:
+            g, head = 1 - mpmath.ln(2 * mpmath.pi) / 2, Fraction(0)
+        else:
+            # (t - 1/2) ln t - t differentiated j times is ln t - 1/(2t)
+            # differentiated j - 1 times
+            i = j - 1
+            g = mpmath.psi(i, 1)
+            head = Fraction(-1, 2) if i == 0 else Fraction(
+                (-1) ** (i - 1) * math.factorial(i - 1) * 2 - (-1) ** i * math.factorial(i), 2
+            )
+        for n in range(nmax + 1):
+            if n:
+                head += c[n - 1] * math.prod(1 - 2 * n - i for i in range(j))
+            table[n, j] = abs(g - mpmath.mpf(head.numerator) / head.denominator)
+    return table
+
+
+def test_no_boost_below_one_loses_fewer_digits_than_the_guard():
+    # below t = 1 the jet of R_n^(m+1) sums G_m(1+t) + Lambda with only the
+    # guard digits 10 + max(m, 0).  There R = G + Lambda, |R_n^(j)(t)| >=
+    # |R_n^(j)(1)| by complete monotonicity, and |Lambda| <= |R| + |G|, so
+    # the sum loses at most log10(1 + 2 max|G_m(1+t)| / |R_n^(m+1)(1)|)
+    # digits; max|G_m(1+t)| on (0, 1] is m! zeta(m+1) for m >= 1, gamma for
+    # psi and -ln Gamma(x0) for ln Gamma, x0 the minimum on [1, 2]
+    with mpmath.workdps(400):
+        x0 = mpmath.findroot(mpmath.digamma, 1.46)
+        g_max = {-1: -mpmath.loggamma(x0), 0: +mpmath.euler}
+        g_max.update((m, mpmath.factorial(m) * mpmath.zeta(m + 1)) for m in range(1, 64))
+        assert 0.1214 < g_max[-1] < 0.1215
+        lost = {
+            (n, j): mpmath.log10(1 + 2 * g_max[j - 1] / r)
+            for (n, j), r in _remainders_at_one(30, 64).items()
+        }
+    over = [(n, j, float(v)) for (n, j), v in lost.items() if not v < 10 + max(j - 1, 0) - 3]
+    assert not over, over
+    # n = 3, j = 0 loses the most: 2.93 digits
+    assert max(lost, key=lost.get) == (3, 0) and 2.9 < lost[3, 0] < 3

@@ -7,7 +7,7 @@ precision, and only ``precision`` and ``cli`` build contexts.  A module's
 fill lock (a module-level ``threading.Lock()``) stays its own: no other
 module names it, so a table is filled only by the module that owns it.
 Every public function has a caller outside the tests: no public API that
-only its own test uses."""
+only its own test uses.  No module imports from ``mpmath.calculus``."""
 
 import ast
 import inspect
@@ -81,6 +81,20 @@ def test_no_import_inside_a_function(name):
                 n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
             ]
             assert not inner, "%s imports inside %s" % (name, getattr(node, "name", "lambda"))
+
+
+@pytest.mark.parametrize("name", LAYERS + ("__init__",))
+def test_no_import_from_mpmath_calculus(name):
+    # quadrature makes its own Gauss-Legendre nodes; mpmath's quadrature
+    # classes serve the tests only, as an oracle
+    found = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+    bad = [m for m in found if m == "mpmath.calculus" or m.startswith("mpmath.calculus.")]
+    assert not bad, "%s imports %s" % (name, bad)
 
 
 def _fill_locks(tree):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.ctx_mp import MPContext
 
 from cmlab import (
     DomainError,
@@ -398,21 +400,43 @@ def test_sin_kernel_integral_domain():
 
 
 def test_gl_nodes_leave_a_shared_context_alone(monkeypatch):
-    # mpmath's calc_nodes raises its context's precision while it runs, so
-    # it must not run on a boosted context that other callers share
-    used = []
-
-    class RecordingRule(quadrature.GaussLegendre):
-        def calc_nodes(self, degree, prec, verbose=False):
-            used.append(self.ctx)
-            return super().calc_nodes(degree, prec, verbose)
-
-    monkeypatch.setattr(quadrature, "GaussLegendre", RecordingRule)
+    # the nodes are made on the caller's context, which may be a boosted
+    # one that other callers share: its precision must not move
     monkeypatch.setattr(quadrature, "_GL_CACHE", {})
     ctx = PrecisionContext(20).boosted(7)
     prec = ctx._mp.prec
     nodes = quadrature._gl_nodes(ctx, 3)
     assert len(nodes) == 12
     assert ctx._mp.prec == prec
-    assert len(used) == 1 and used[0] is not ctx._mp
-    assert used[0].prec == prec
+
+
+def _gl_oracle(degree):
+    """mpmath's Gauss-Legendre rule at 600 bits, a test-only oracle, with
+    the 600-bit context it lives in."""
+    oracle = MPContext()
+    oracle.prec = 600
+    return oracle, GaussLegendre(oracle).calc_nodes(degree, 600)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("digits", [15, 30, 37, 100])
+def test_gl_nodes_match_oracle_and_integrate_even_powers(monkeypatch, digits, degree):
+    monkeypatch.setattr(quadrature, "_GL_CACHE", {})
+    ctx = PrecisionContext(digits)
+    nodes = quadrature._gl_nodes(ctx, degree)
+    mp, want = _gl_oracle(degree)
+    n = 3 << (degree - 1)
+    assert len(nodes) == len(want) == n
+    ulp = mp.ldexp(1, -ctx.prec)
+    # today's order: (x, w) then (-x, w), x descending, as the oracle has it
+    xs = [x for x, _ in nodes[0::2]]
+    assert xs == sorted(xs, reverse=True) and xs[-1] > 0
+    assert all(x == -y and w == v for (x, w), (y, v) in zip(nodes[0::2], nodes[1::2]))
+    for (x, w), (x0, w0) in zip(nodes, want):
+        assert abs(mp.mpf(x) - x0) <= ulp
+        assert abs(mp.mpf(w) - w0) <= ulp * w0
+    assert abs(mp.fsum(mp.mpf(w) for _, w in nodes) - 2) <= 2 * ulp
+    # exact for x^(2k) up to degree 2n - 1
+    for k in range(1, n):
+        got = mp.fsum(mp.mpf(w) * mp.mpf(x) ** (2 * k) for x, w in nodes)
+        assert abs(got - mp.mpf(2) / (2 * k + 1)) <= 16 * ulp, k
