@@ -16,10 +16,14 @@ its one-order cases.  With n >= 0 it returns G_m(t) - head_{n,m}(t), head
 being G_m's leading terms plus its first n Bernoulli terms at t: that is
 (-1)^n R_n^(m+1)(t), the Bernoulli terms k > n, and ``remainders`` is its
 caller.  Each value is rounded to the caller's context; the working
-context carries 10 + max(m_hi, 0) guard digits.
+context carries at least 10 + max(m_hi, 0) guard digits, more where
+``PrecisionContext.boosted`` rounds up to its ladder.
 
 At or above G's shift threshold plus n the terms k > n shrink from the
 first on, and the value is ``_tail`` from k0 = n+1: nothing cancels.
+The threshold is taken at the digits of the working context the tail is
+summed on, as ``_jet1p`` takes its own, so the ladder's extra digits
+never push a tail past the point where its terms shrink.
 Elsewhere the value is split at the shift's first step,
 
     G_m(t) - head_{n,m}(t) = G_m(1+t) + Lambda_{n,m}(t).
@@ -59,9 +63,16 @@ smallest part any order needs, still has prec + guard bits.
 * 1/(t+k) for 0 < k <= N takes one integer division each, and z^-e
   repeated multiplications by the last of them;
 * the shift sums sum_{0<k<N} (t+k)^-(m+1), for every order m of the
-  range, take one multiply and shift per term and order.  Each term is
-  at most 1 and at least z^-(m+1), and each floor loses under one unit of
-  2^-F, so every sum is off by under 2^-(prec+guard) relative;
+  range m_lo..m_hi: the lowest order's power x_k^(m_lo+1) of x_k =
+  floor(2^F/(t+k)) by square and multiply at F bits, one floor per
+  product, and each higher order's by one more multiply and floor.  A
+  floor loses under one unit of 2^-F; a square doubles what its operand
+  lost at most, a multiply by x_k <= 1 does not raise it, so the power
+  x_k^e is off by under e units, order m's by at most m + 1.  With x_k's
+  own unit, carried through the power, each term is within 2(m+1) units
+  of (t+k)^-(m+1) >= z^-(m+1), and a unit is at most 2^-(prec+guard)
+  z^-(m_hi+2).  As z > m + 9, every sum is off by under
+  2^-(prec+guard-1) relative;
 * the Bernoulli tail is a Horner sum of c_k w^(k-1) in w = z^-2, with
   the coefficients floor(c_k 2^F), times z^-(m+2).  Each step's floor
   and each coefficient's lose under one unit, and w < 1 only shrinks what
@@ -272,9 +283,16 @@ def _threshold(wp: int, order: int) -> int:
 
 def _shift_sums(xs, lo: int, hi: int, bits: int):
     """sum_k (t+k)^-(m+1) at ``bits`` for m = lo..hi (lo >= 0), from the
-    x_k = floor(2^bits/(t+k)): each order's powers are the last order's
-    times x_k, floored."""
-    p = [x ** (lo + 1) >> (lo * bits) for x in xs]
+    x_k = floor(2^bits/(t+k)): the lowest order's powers x_k^(lo+1) by
+    square and multiply from the exponent's top bit, each higher order's
+    the last order's times x_k; one floor per product.  Each power x_k^e
+    is never above the exact power floored once, and under e units below
+    it."""
+    p = xs
+    for bit in bin(lo + 1)[3:]:
+        p = [(q * q) >> bits for q in p]
+        if bit == "1":
+            p = [(q * x) >> bits for q, x in zip(p, xs)]
     sums = [sum(p)]
     for _ in range(lo, hi):
         p = [(q * x) >> bits for q, x in zip(p, xs)]
@@ -400,9 +418,11 @@ def _stirling_jet(ctx: PrecisionContext, lo: int, hi: int, t, n=None):
     guard = 10 + max(hi, 0)
     extra = guard
     if n is not None:
-        if t >= _threshold(ctx.digits + guard, hi) + n:
+        wctx = ctx.boosted(guard)
+        # the switch reads the digits the tail is summed at, which the
+        # ladder may raise past ctx.digits + guard
+        if t >= _threshold(wctx.digits, hi) + n:
             # the Bernoulli terms k > n shrink from the first on: nothing cancels
-            wctx = ctx.boosted(guard)
             return [ctx.mpf(v) for v in _tail(wctx, lo, hi, wctx.mpf(t), n + 1)]
         if t > 1:
             # t is a float here; these digits absorb the cancellation

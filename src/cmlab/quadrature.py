@@ -63,8 +63,14 @@ frame: F = prec + ``_GUARD`` bits for the context it is called on.  The
 rule of degree m has n = 3 2^(m-1) nodes, mpmath's convention, which
 ``_panel``'s evaluation budget assumes.  Each positive root x of P_n starts
 from Newton in floats from cos(pi (k - 1/4) / (n + 1/2)) and then takes
-integer Newton steps x - P_n (x^2 - 1) / (n (x P_n - P_(n-1))) until a
-step is below 2^-(prec+8), that is 2^(_GUARD-8) units:
+integer Newton steps x - P_n (x^2 - 1) / (n (x P_n - P_(n-1))) until the
+step s predicts it has left both node and weight within a unit:
+n(n+1) s^2 / (1 - x^2) < 2^-F.  Newton's error after the step is about
+P_n''/(2 P_n') s^2 = x s^2 / (1 - x^2) at a root, and the weight reads
+d = x P_n - P_(n-1) from before the step, off by about
+n(n+1) s^2 / (2 (1 - x^2)) relative since d' = (n+1) P_n.  From a float
+start that is one integer step at 53 bits, two at 103 and 126, and
+about three at 336:
 
 * P_n(x) and P_(n-1)(x) come from the recurrence
   j P_j = (2j-1) x P_(j-1) - (j-1) P_(j-2) with one floor per step, each
@@ -75,7 +81,7 @@ step is below 2^-(prec+8), that is 2^(_GUARD-8) units:
   w = 2 (1 - x^2) / (n (x P_n - P_(n-1)))^2 takes one floor division.
 
 Against mpmath's rule at 600 bits, for degrees 2..6 at 53 to 336 bits,
-every node lies within 1.5 units and every weight within 6 units (under
+every node lies within 1.5 units and every weight within 6.1 units (under
 2^-(F-13) relative, the smallest weight at n = 96 being about 2^-10).
 Each value is then rounded once to the context, which adds at most half
 an ulp.  The pairs come as (x, w), (-x, w) with x descending.
@@ -186,8 +192,7 @@ def _gl_nodes(ctx: PrecisionContext, degree: int):
     if nodes is None:
         n = 3 << (check_int(degree, "Gauss-Legendre degree", 2) - 1)
         bits = ctx.prec + _GUARD
-        one = 1 << bits
-        stop = 1 << (_GUARD - 8)  # 2^-(prec+8), in units of 2^-bits
+        one2 = 1 << (2 * bits)  # 1 in units of 2^-(2 bits)
         nodes = []
         for k in range(1, n // 2 + 1):
             x = int(math.ldexp(_float_root(n, k), 53)) << (bits - 53)
@@ -195,12 +200,17 @@ def _gl_nodes(ctx: PrecisionContext, degree: int):
                 p1, p0 = _legendre(x, n, bits)
                 # P_n' = n (x P_n - P_(n-1)) / (x^2 - 1), with d = x P_n - P_(n-1)
                 d = x * p1 - (p0 << bits)
-                step = p1 * (x * x - (one << bits)) // (n * d)
+                step = p1 * (x * x - one2) // (n * d)
                 x -= step
-                if abs(step) < stop:
+                # the step leaves x about x step^2/(1 - x^2) off, as
+                # P_n''/P_n' = 2x/(1 - x^2) at a root; d, which the weight
+                # reads from before the step, has d' = (n+1) P_n, so it is
+                # off by about n(n+1) step^2/(2(1 - x^2)) relative.  Stop
+                # once both are under a unit
+                if (n * (n + 1) * step * step) << bits < one2 - x * x:
                     break
             # w = 2 / ((1 - x^2) P_n'^2) = 2 (1 - x^2) / (n d)^2
-            w = (((one << bits) - x * x) << (3 * bits + 1)) // (n * n * d * d)
+            w = ((one2 - x * x) << (3 * bits + 1)) // (n * n * d * d)
             x, w = ctx.from_fixed(x, bits), ctx.from_fixed(w, bits)
             nodes += [(x, w), (-x, w)]
         nodes = _GL_CACHE.setdefault(key, nodes)

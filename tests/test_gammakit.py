@@ -135,31 +135,44 @@ def test_stirling_coefficients_match_definition():
             assert gammakit._stirling(order, k) == want, (order, k)
 
 
+# (lo, hi) order ranges of the shift sums: the full jet from psi, and
+# ranges whose lowest power is taken by binary powering
+SHIFT_RANGES = ((0, 16), (1, 1), (1, 5), (7, 7), (7, 11), (12, 12), (12, 16), (63, 63), (63, 67))
+
+
 @pytest.mark.parametrize("digits", [30, 60])
 @pytest.mark.parametrize("where", ["tiny", "below-threshold", "two-below-threshold"])
 def test_shift_sums_match_plain_mpf_sum(digits, where):
-    # sum_{0<k<N} (t+k)^-(m+1) for m = 0..16 from one fixed-point pass in
+    # sum_{0<k<N} (t+k)^-(m+1) for m = lo..hi from one fixed-point pass in
     # the frame psi^(m)(1+t) is summed in, against the same sum in mpf at
-    # 20 more digits; N = 1 has no shift terms at all
+    # 20 more digits; N = 1 has no shift terms at all.  Each power, which
+    # the sums of a single x_k are, lies within [0, e] units below the
+    # exact power of x_k floored once
     wctx = PrecisionContext(digits)
-    thr = gammakit._threshold(wctx.digits, 16)
-    t, count = {
-        "tiny": (wctx.mpf("1e-300"), thr),
-        "below-threshold": (thr - wctx.mpf("0.25"), 1),
-        "two-below-threshold": (thr - wctx.mpf("1.75"), 2),
-    }[where]
-    bits = wctx.prec + gammakit._GUARD + int(18 * math.log2(float(t) + count)) + 1
-    one = 1 << bits
-    t_fixed = wctx.to_fixed(t, bits)
-    xs = [(one << bits) // (t_fixed + k * one) for k in range(1, count)]
-    got = [wctx.from_fixed(s, bits) for s in gammakit._shift_sums(xs, 0, 16, bits)]
-    assert len(got) == 17
-    with mpmath.workdps(digits + 20):
-        for m, value in enumerate(got):
-            want = mpmath.fsum(
-                (mpmath.mpf(t) + k) ** (-(m + 1)) for k in range(1, count)
-            )
-            assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(10) ** (1 - digits) * want, m
+    for lo, hi in SHIFT_RANGES:
+        thr = gammakit._threshold(wctx.digits, hi)
+        t, count = {
+            "tiny": (wctx.mpf("1e-300"), thr),
+            "below-threshold": (thr - wctx.mpf("0.25"), 1),
+            "two-below-threshold": (thr - wctx.mpf("1.75"), 2),
+        }[where]
+        bits = wctx.prec + gammakit._GUARD + int((hi + 2) * math.log2(float(t) + count)) + 1
+        one = 1 << bits
+        t_fixed = wctx.to_fixed(t, bits)
+        xs = [(one << bits) // (t_fixed + k * one) for k in range(1, count)]
+        got = [wctx.from_fixed(s, bits) for s in gammakit._shift_sums(xs, lo, hi, bits)]
+        assert len(got) == hi - lo + 1
+        with mpmath.workdps(digits + 20):
+            for m, value in enumerate(got, lo):
+                want = mpmath.fsum(
+                    (mpmath.mpf(t) + k) ** (-(m + 1)) for k in range(1, count)
+                )
+                tol = mpmath.mpf(10) ** (1 - digits) * want
+                assert abs(mpmath.mpf(value) - want) <= tol, (lo, hi, m)
+        for x in xs:
+            powers = gammakit._shift_sums([x], lo, hi, bits)
+            for e, p in enumerate(powers, lo + 1):
+                assert 0 <= (x**e >> ((e - 1) * bits)) - p <= e, (lo, hi, e)
 
 
 @pytest.mark.parametrize("digits", [15, 30, 60])

@@ -1,6 +1,7 @@
 """Context arithmetic: conversions, checked functions, domain guards,
 the shared boosted contexts, and the point grid."""
 
+import random
 import threading
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cmlab import (
     PrecisionContext,
     f_kernel,
     polygamma,
+    precision,
     remainder_deriv,
 )
 
@@ -77,6 +79,46 @@ def test_boosted_contexts_are_per_thread():
     assert len(theirs) == 1
     assert theirs[0] is not mine
     assert theirs[0].digits == mine.digits == 40
+
+
+def test_positive_boosts_land_on_the_ladder():
+    # a positive boost rounds the total digits up to a multiple of 8: at
+    # least the digits asked for, and fewer than 8 more
+    for digits in range(15, 61):
+        ctx = PrecisionContext(digits)
+        assert ctx.boosted(0).digits == ctx.boosted(-3).digits == digits
+        for extra in range(1, 41):
+            got = ctx.boosted(extra).digits
+            assert got % 8 == 0
+            assert digits + extra <= got < digits + extra + 8, (digits, extra)
+
+
+def test_cold_sweep_builds_few_shared_contexts():
+    # polygamma m = 0..12 and remainder_deriv n <= 3, j <= 8 at 24 seeded
+    # points, log-uniform over 1e-10..1e12, at 30 and 100 digits, in a
+    # fresh thread so that the shared contexts it counts are its own.  The
+    # boosts vary with t and the order; the ladder keeps the contexts they
+    # land on few
+    rng = random.Random(1)
+    ts = [10 ** rng.uniform(-10, 12) for _ in range(24)]
+    built = []
+
+    def sweep():
+        for digits in (30, 100):
+            ctx = PrecisionContext(digits)
+            for t in ts:
+                for m in range(13):
+                    polygamma(ctx, m, t)
+                for n in range(4):
+                    for j in range(9):
+                        remainder_deriv(ctx, n, j, t)
+        built.append(len(precision._SHARED.by_digits))
+
+    worker = threading.Thread(target=sweep)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert built and built[0] <= 14, built
 
 
 @pytest.mark.parametrize(

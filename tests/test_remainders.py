@@ -254,6 +254,41 @@ def test_remainder_deriv_matches_mpmath_oracle(digits, n):
     assert not failures, failures
 
 
+@pytest.mark.parametrize("digits", [31, 33, 37])
+def test_tail_switch_reads_the_working_digits(monkeypatch, digits):
+    # off the ladder the working context has more digits than asked for,
+    # and the tail route's switch is read at those digits: the tail sum
+    # runs from the switch on, and not at the lower switch ctx.digits +
+    # guard alone would give.  On both sides every value meets the mpmath
+    # oracle
+    tails = []
+    real_tail = gammakit._tail
+
+    def spy(*args):
+        tails.append(args)
+        return real_tail(*args)
+
+    monkeypatch.setattr(gammakit, "_tail", spy)
+    ctx = PrecisionContext(digits)
+    failures = []
+    for n in (0, 2, 6):
+        for j in (1, 5, 9, 16):
+            guard = 10 + max(j - 1, 0)
+            switch = gammakit._threshold(ctx.boosted(guard).digits, j - 1) + n
+            below = gammakit._threshold(digits + guard, j - 1) + n
+            for t in (below, switch - 0.5, switch, switch + 0.5):
+                tails.clear()
+                want = _remainder_deriv_oracle(n, j, t, digits)
+                got = remainder_deriv(ctx, n, j, t)
+                if bool(tails) != (t >= switch):
+                    failures.append(("route", n, j, t))
+                with mpmath.workdps(digits + 10):
+                    rel = abs(mpmath.mpf(got) - want) / abs(want)
+                    if rel > mpmath.mpf(10) ** (3 - digits):
+                        failures.append((n, j, t, float(rel)))
+    assert not failures, failures
+
+
 JET_RANGES = ((0, 16), (1, 9), (4, 6), (12, 12))
 JET_POINTS = (1e-10, 1e-3, 0.7, 7.5, 33.0, 1e3, 1e6, 1e12)
 

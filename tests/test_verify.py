@@ -13,10 +13,12 @@ from cmlab import (
     K_kernel,
     bernoulli,
     binet_check,
+    kernels,
     psi_integral_check,
     remark3_inequalities,
     verify_degree_representation,
 )
+from cmlab.verify import run_suite
 
 
 # -- integral formulas for ln Gamma and psi ------------------------------
@@ -91,6 +93,42 @@ def test_remark3_grid_below_the_float_range():
     tol = ctx.mpf(10) ** (-25)
     for lhs in report.max_abs_lhs:
         assert abs(lhs - report.bound) < tol
+
+
+def test_remark3_ties_at_the_bound_are_undecided():
+    # at v = 1e-30 both routes meet the bound to every digit: margin 0 is
+    # a tie inside the rounding noise, not a violation
+    ctx = PrecisionContext(30)
+    report = remark3_inequalities(ctx, 1, GridSpec(1e-30, 1e-29, 2))
+    assert report.min_margin == [0, 0]
+    assert report.all_hold
+    assert report.violations == []
+    assert sorted(route for route, _, _ in report.undecided) == [1, 1, 2, 2]
+
+
+def test_remark3_violation_beyond_the_noise_is_decided(monkeypatch):
+    # route 1's lhs pushed 1e-20 past the bound is a violation; route 2,
+    # untouched, stays a tie
+    real = kernels.K_kernel
+
+    def pushed(ctx, m, v):
+        return real(ctx, m, v) - 2 * ctx.mpf(10) ** -20
+
+    monkeypatch.setattr(kernels, "K_kernel", pushed)
+    ctx = PrecisionContext(30)
+    report = remark3_inequalities(ctx, 1, GridSpec(1e-30, 1e-29, 2))
+    assert not report.all_hold
+    assert [route for route, _, _ in report.violations] == [1, 1]
+    assert [route for route, _, _ in report.undecided] == [2, 2]
+
+
+def test_remark3_records_count_undecided_margins():
+    ctx = PrecisionContext(30)
+    records = [r for r in run_suite(ctx, "remark3", True, False) if "violations" in r]
+    assert [r["name"] for r in records] == ["remark3-n1", "remark3-n2"]
+    for rec in records:
+        assert rec["pass"] is True
+        assert rec["violations"] == rec["undecided"] == 0
 
 
 def test_remark3_domain():
