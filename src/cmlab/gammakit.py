@@ -5,9 +5,11 @@ series method: the argument is raised by an integer shift N until it
 clears a precision-dependent threshold, the enveloping asymptotic series
 is summed there (its truncation error is bounded by the first omitted
 term, which alternates in sign), and the shift is undone through exact
-recurrences.  No gamma-family routine of the underlying arbitrary-
-precision library is called, so these values can serve as one side of an
-honest cross-check against quadrature.
+recurrences.  Jets of several orders at small t take the Taylor series at
+1 instead, from a table of psi^(j)(1)/j! that the same kind of sum builds.
+No gamma-family routine of the underlying arbitrary-precision library is
+called, so these values can serve as one side of an honest cross-check
+against quadrature.
 
 ``_stirling_jet`` is the one route to the Stirling expansions G_m of
 ln Gamma (m = -1) and psi^(m) (m >= 0), for a whole range of orders at
@@ -85,11 +87,81 @@ psi(1+t) = ln z - [1/(2z) + tail + shift sums], and for order -1 the
 terms (z - 1/2) ln z - z + ln(2 pi)/2 and the ln of the product stay in
 mpf; only those logarithms are not fixed point.
 
+Below t = 1 a jet of two or more orders may take a second route to
+G_m(1+t), ``_taylor1p``: the Taylor series at 1 (Abramowitz-Stegun 6.1.33
+and 6.4; DLMF 5.7.3),
+
+    psi^(m)(1+t) = m! S_m(t),  S_m(t) = sum_{k>=0} C(m+k,k) e_(m+k) t^k,
+    ln Gamma(1+t) = S_-1(t) = sum_{k>=1} e_(k-1) t^k / k,
+
+from one table of e_j = psi^(j)(1)/j! (e_0 = -gamma, e_j = (-1)^(j+1)
+zeta(j+1)), each order one Horner sum in t, all in one fixed-point frame
+2^-F, F = prec + guard + c with c = 1 + floor((m_hi+1) log2((1+t)/(1-t))),
+the cancellation's bits below; ``_laurent`` and the split are the same
+on both routes.  ``_taylor_plan`` picks the route: its term count K_T, the least K
+whose truncation bound is under one unit, taken from float logs, must be
+below the N + K terms of ``_jet1p``'s shift and tail (``_threshold`` and
+``_term_count``), and F must fit the table's bits.  That holds up to t of
+about 0.11 to 0.13 at every digits 15..100 and top order 1..63.  For
+m_hi = 8 at 30 digits (48 working digits) K_T is 6 at t = 1e-10, 21 at
+1e-3 and 67 at 0.1, against N + K = 38 + 36.  A one-order call,
+``polygamma``, ``ln_gamma`` or one derivative of a remainder, keeps the
+shift route.  The route's error, in units of 2^-F
+of S_m:
+
+* the Horner floors: each step's under one unit, so K_T in all, as t < 1
+  only shrinks what earlier steps lost.  t itself is exact in the frame
+  from t >= 2^(prec-F) on, its prec bits then lying above 2^-F; below,
+  its floor moves S_m by at most (m+1) zeta(m+2, 1-t) < 2(m+1) units;
+* the table: each entry within 2 units of e_j 2^F, so C(m+k,k) e_(m+k)
+  within 2 C(m+k,k) units and the sum within 2 (1-t)^-(m+1); for order
+  -1 the floor of e_(k-1)/k adds one unit per term, times t^k;
+* the truncation: with |e_j| = zeta(j+1) <= 1 + 2^(1-j) for j >= 1, and
+  term ratios t(m+k+1)/(k+1) falling with k,
+
+      sum_{k>=K} C(m+k,k) |e_(m+k)| t^k
+          <= C(m+K,K) |e_(m+K)| t^K / (1 - t(m+K+1)/(K+1)),
+
+  under one unit at K = K_T.  The bound grows with m, and order -1's
+  tail lies below order 0's, so the top order's count serves every
+  order;
+* the cancellation: the terms alternate in sign.  For m >= 1 their
+  magnitudes sum to zeta(m+1, 1-t), and |S_m| = zeta(m+1, 1+t) >=
+  (1+t)^-(m+1), so the largest term over |S_m| is at most
+  ((1+t)/(1-t))^(m+1): 18.5 bits at m = 63 and t = 0.1, where the
+  largest term alone is 2^15.7 |S_m|.  F carries those c bits, so the
+  errors above, under K_T + 2(1-t)^-(m+1) + 2m + 4 units, stay under
+  (K_T + 2m + 6) 2^-(prec+guard) relative to S_m.  Orders 0 and -1 are
+  read absolutely, as the split at t <= 1 reads G_m(1+t) against its
+  maximum on (0, 1] (above): their errors are under K_T + 8 units.
+
+The table is keyed by the working digits, which the context ladder
+bounds, and built at B = prec + 3 guard bits (so F <= B holds for c <=
+2 guard) in whole blocks of ``_BLOCK`` orders, under the fill lock, by
+Euler-Maclaurin at N = 2^q, the first power of two past the threshold:
+
+    zeta(j+1) = sum_{0<i<N} i^-(j+1) + N^-j/j + N^-(j+1)/2
+                + sum_{k>=1} (B_2k/2k) C(2k+j-1, j) N^-(2k+j),
+
+psi(1) = q ln 2 - [sum_{0<i<N} 1/i + 1/(2N) + sum_{k>=1} (B_2k/2k)
+N^-2k], with ln 2 = 2 atanh(1/3).  zeta(j+1, N) is psi^(j)(N)'s Stirling
+series over j!, so its Bernoulli terms envelope it and stop at the first
+one below a unit; psi's own table of B_2k/(2k) serves every order, the
+integer binomial carrying the order, and no Stirling table of order j is
+built.  Summed at B + guard bits the shift sums lose under (j+1) N units,
+as above, the Bernoulli terms one unit each and the logarithm q(B/3 + 2):
+far under 2^(guard-1), so each entry floored to B is within 2 units (1
+measured at 15..100 digits), and floored to F within 2.  An entry depends
+on the digits, j and its block alone, so the table is the same whichever
+jet builds it first.
+
 ``_term_count`` takes the number of terms K from float logs of the exact
 coefficients: the first term with |c_K/c_k0| w^(K-k0) <= 2^-(prec+guard),
 a stop relative to the series' first term.  |c_K/c_1| grows with the
 order, so one count, the top order's, serves every order of a jet.  The
-truncation bound is the first omitted term.  ``_series`` sums the same
+truncation bound is the first omitted term.  Per (k0, rel_bits) the table
+keeps running bounds on log2 w, so the count is one bisection and equals
+what a walk over the terms from k0 on finds.  ``_series`` sums the same
 Horner loop at prec + guard bits below |c_k0| and serves the remainders'
 tails above the switch (w = z^-2, k0 = n+1) and the kernels' Taylor
 series of f_n^(l) (k0 = n+1).
@@ -105,8 +177,10 @@ lock, and are read without one.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,6 +192,9 @@ __all__ = ["GammaEval", "ln_gamma", "polygamma"]
 
 #: guard bits of the fixed-point kernels and of the relative series stop
 _GUARD = 20
+#: orders per block of the psi^(j)(1)/j! table
+_BLOCK = 32
+_LN2 = math.log(2)
 
 
 @dataclass
@@ -138,7 +215,8 @@ class GammaEval:
 class _Coeffs:
     """The sequence k -> coeff(param, k), entry k-1 for term k: exact, as
     float log2 magnitudes (-inf for a zero), and as ``fixed`` = (B, list of
-    floor(c_k 2^B))."""
+    floor(c_k 2^B)).  ``stops`` holds :func:`_term_count`'s thresholds per
+    (k0, rel_bits)."""
 
     def __init__(self, coeff, param):
         self.coeff = coeff
@@ -146,6 +224,7 @@ class _Coeffs:
         self.exact = []
         self.log2 = []
         self.fixed = (0, [])
+        self.stops = {}
 
 
 # one table per (coefficient function, parameter)
@@ -153,6 +232,9 @@ _TABLES: dict = {}
 # (order, n) -> the exact Laurent polynomial of Lambda_{n,order}, n = None
 # for the bare k = 0 term; an entry is made whole and then published
 _LAURENT: dict = {}
+# working digits -> [e_j 2^B for j = 0, 1, ...], e_j = psi^(j)(1)/j!, in
+# whole blocks of _BLOCK orders
+_PSI1: dict = {}
 # serialises the filling of every table; a list only grows and a table's
 # ``fixed`` pair is replaced whole, so a reader needs no lock
 _FILL = threading.Lock()
@@ -221,22 +303,73 @@ def _log2(x) -> float:
 def _term_count(tab: _Coeffs, k0: int, log2_w: float, rel_bits: int) -> int:
     """The index K of the first term of sum_{k>=k0} c_k w^(k-k0) (c_k0 != 0)
     with |c_K/c_k0| w^(K-k0) <= 2^-rel_bits.  The terms must shrink from k0
-    on, which the shift threshold guarantees for the asymptotic series."""
+    on, which the shift threshold guarantees for the asymptotic series.
+
+    Term K meets the stop once log2 w <= theta_K = (-rel_bits - log2|c_K/
+    c_k0|)/(K - k0), and term K is no smaller than term K-1 once log2 w >=
+    sigma_K = log2|c_(K-1)/c_K|.  Per (k0, rel_bits) the table keeps the
+    running maximum of theta and the running minimum of sigma over K =
+    k0+1, k0+2, ..., grown as far as a call needs, so K is a bisection:
+    the first K whose running theta reaches log2 w, checked against the
+    float sum of the stop itself, and the terms before it must shrink."""
     logs = tab.log2
-    _frac_coeffs(tab, k0)
-    prev = 0.0  # term k0 over itself
-    k = k0  # 0-based index of term k0+1
-    while True:
-        if len(logs) <= k:
+    if len(logs) < k0:
+        _frac_coeffs(tab, k0)
+    stops = tab.stops.get((k0, rel_bits))
+    if stops is None:
+        with _FILL:
+            stops = tab.stops.setdefault((k0, rel_bits), (array("d"), array("d")))
+    reach, stall = stops
+    if not reach or reach[-1] < log2_w:
+        _grow_stops(tab, k0, rel_bits, stops, log2_w)
+    i = bisect.bisect_left(reach, log2_w)
+    if i == len(reach) or (i and stall[i - 1] <= log2_w):
+        first = next(j for j, s in enumerate(stall) if s <= log2_w)
+        raise AssertionError("series stalled at k=%d; its terms do not shrink" % (k0 + 1 + first))
+
+    def met(count):  # the stop as the float sum reads it
+        if len(logs) < count:
+            _frac_coeffs(tab, count)
+        return logs[count - 1] - logs[k0 - 1] + (count - k0) * log2_w <= -rel_bits
+
+    count = k0 + 1 + i
+    # a threshold and the float sum may round apart at a tie
+    while count > k0 + 1 and met(count - 1):
+        count -= 1
+    while not met(count):
+        count += 1
+    return count
+
+
+def _grow_stops(tab: _Coeffs, k0: int, rel_bits: int, stops, log2_w: float):
+    """Extend a (k0, rel_bits) pair of :func:`_term_count`'s running
+    thresholds until theta reaches log2_w or the terms stop shrinking
+    there.  The entries depend only on the table, so a thread appends just
+    those no other thread has appended meanwhile."""
+    reach, stall = stops
+    logs = tab.log2
+    # read both at one index: ``stall`` may already hold entries another
+    # thread is about to add to ``reach``
+    have = len(reach)
+    top = reach[have - 1] if have else -math.inf
+    low = stall[have - 1] if have else math.inf
+    new_reach, new_stall = [], []
+    count = k0 + 1 + have
+    while top < log2_w < low:
+        if len(logs) < count:
             # one entry at a time: the table ends at the last term read
-            _frac_coeffs(tab, k + 1)
-        rel = logs[k] - logs[k0 - 1] + (k + 1 - k0) * log2_w  # term k+1 over term k0
-        if rel <= -rel_bits:
-            return k + 1
-        if rel >= prev:
-            raise AssertionError("series stalled at k=%d; its terms do not shrink" % (k + 1))
-        prev = rel
-        k += 1
+            _frac_coeffs(tab, count)
+        top = max(top, (-rel_bits - (logs[count - 1] - logs[k0 - 1])) / (count - k0))
+        low = min(low, logs[count - 2] - logs[count - 1])
+        new_reach.append(top)
+        new_stall.append(low)
+        count += 1
+    with _FILL:
+        done = len(reach) - have
+        # the running minima first: a reader that finds entry i in
+        # ``reach`` finds it in ``stall`` too
+        stall.extend(new_stall[done:])
+        reach.extend(new_reach[done:])
 
 
 def _horner(coeffs, w: int, bits: int) -> int:
@@ -300,13 +433,23 @@ def _shift_sums(xs, lo: int, hi: int, bits: int):
     return sums
 
 
+def _shift_plan(wctx: PrecisionContext, hi: int, t):
+    """(N, z, K) of :func:`_jet1p` at t for top order hi: the shift N >= 1,
+    z = t + N past the threshold, and the Bernoulli tail's term count K.
+    The count of the top order serves every lower one: |c_K/c_1| grows
+    with the order."""
+    thr = _threshold(wctx.digits, hi)
+    shift = 1 if t >= thr - 1 else int(math.ceil(thr - float(t)))
+    z = t + shift
+    count = _term_count(_table(_stirling, hi), 1, -2 * _log2(z), wctx.prec + _GUARD)
+    return shift, z, count
+
+
 def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t):
     """ln Gamma(1+t) (order -1) and psi^(order)(1+t) for every order lo..hi,
     each summed to convergence at z = t + N (N >= 1, z past the threshold)
     less the shift sums over 0 < k < N."""
-    thr = _threshold(wctx.digits, hi)
-    shift = 1 if t >= thr - 1 else int(math.ceil(thr - float(t)))
-    z = t + shift
+    shift, z, count = _shift_plan(wctx, hi, t)
     log2_z = _log2(z)
     bits = wctx.prec + _GUARD + int((hi + 2) * log2_z) + 1
     one = 1 << bits
@@ -316,9 +459,6 @@ def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t):
     for _ in range(max(1, hi + 1)):
         zp.append((zp[-1] * zp[1]) >> bits)
     sums = _shift_sums(xs, max(lo, 0), hi, bits) if hi >= 0 else []
-    # the term count of the top order serves every lower one: |c_K/c_1|
-    # grows with the order
-    count = _term_count(_table(_stirling, hi), 1, -2 * log2_z, wctx.prec + _GUARD)
     lnz = wctx.ln(z) if lo <= 0 else None
     values = []
     for order in range(lo, hi + 1):
@@ -340,6 +480,142 @@ def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t):
             if order % 2 == 0:
                 value = -value
         values.append(value)
+    return values
+
+
+def _scaled(num: int, den: int, e: int) -> int:
+    """floor(num/den 2^e) for any integer e."""
+    return (num << e) // den if e >= 0 else num // (den << -e)
+
+
+def _ln2_fixed(bits: int) -> int:
+    """ln 2 at ``bits`` from 2 atanh(1/3) = sum_k 2/((2k+1) 3^(2k+1)), one
+    floor per term: under bits/3 + 2 units low."""
+    two, p, k, acc = 2 << bits, 3, 0, 0
+    while p <= two:
+        acc += two // ((2 * k + 1) * p)
+        p *= 9
+        k += 1
+    return acc
+
+
+def _psi1_block(wctx: PrecisionContext, a: int, bits: int):
+    """e_j = psi^(j)(1)/j! for j = a .. a + _BLOCK - 1 at ``bits``, each
+    within 2 units: Euler-Maclaurin at N = 2^q, the first power of two past
+    the threshold, summed at bits + _GUARD and then floored."""
+    q = (_threshold(wctx.digits, 0) - 1).bit_length()
+    fine = bits + _GUARD
+    sums = _shift_sums([(1 << fine) // i for i in range(1, 1 << q)], a, a + _BLOCK - 1, fine)
+    tab = _table(_stirling, 0)  # B_2k/(2k)
+    out = []
+    for j, acc in enumerate(sums, a):
+        # zeta(j+1, N) = N^-j/j + N^-(j+1)/2 + sum_k (B_2k/2k) C(2k+j-1, j)
+        # N^-(2k+j), k >= 1, whose terms envelope it; for j = 0 the sum
+        # psi(N) = ln N - [1/(2N) + ...] less the harmonic number
+        if j:
+            acc += _scaled(1, j, fine - q * j)
+        acc += _scaled(1, 2, fine - q * (j + 1))
+        k, prev = 0, None
+        while True:
+            k += 1
+            if len(tab.exact) < k:
+                _frac_coeffs(tab, k)
+            c = tab.exact[k - 1]
+            num, e = c.numerator * math.comb(2 * k + j - 1, j), fine - q * (2 * k + j)
+            if abs(num) << max(e, 0) < c.denominator << max(-e, 0):
+                break  # the first term below one unit: the rest is smaller
+            term = _scaled(num, c.denominator, e)
+            if prev is not None and abs(term) > abs(prev):
+                raise AssertionError("Euler-Maclaurin stalled at j=%d, k=%d" % (j, k))
+            acc += term
+            prev = term
+        if j == 0:
+            acc = q * _ln2_fixed(fine) - acc
+        elif j % 2 == 0:
+            acc = -acc  # e_j = (-1)^(j+1) zeta(j+1)
+        out.append(acc >> _GUARD)
+    return out
+
+
+def _psi1_table(wctx: PrecisionContext, upto: int):
+    """(B, [e_j 2^B for j = 0, 1, ...]) with at least ``upto`` entries, B =
+    prec + 3 _GUARD at wctx's digits.  Built in whole blocks of _BLOCK
+    orders, the same whichever call asks first."""
+    lst = _PSI1.get(wctx.digits)
+    if lst is None:
+        with _FILL:
+            lst = _PSI1.setdefault(wctx.digits, [])
+    bits = wctx.prec + 3 * _GUARD
+    while len(lst) < upto:
+        a = len(lst)
+        block = _psi1_block(wctx, a, bits)
+        with _FILL:
+            if len(lst) == a:
+                lst.extend(block)
+    return bits, lst
+
+
+def _taylor_terms(log2_t: float, t: float, m: int, bits: int, cap: int):
+    """The least K <= cap whose truncation bound, for order m >= 0,
+
+        sum_{k>=K} C(m+k,k) |e_(m+k)| t^k
+            <= C(m+K,K) |e_(m+K)| t^K / (1 - t(m+K+1)/(K+1)),
+
+    is at most 2^-bits, with |e_j| = zeta(j+1) <= 1 + 2^(1-j); None if K =
+    cap is not enough.  The bound falls with K once its ratio is below 1."""
+
+    def fits(k):
+        rho = t * (m + k + 1) / (k + 1)
+        if rho >= 1:
+            return False
+        log2_binom = (math.lgamma(m + k + 1) - math.lgamma(m + 1) - math.lgamma(k + 1)) / _LN2
+        log2_e = math.log2(1 + 2.0 ** (1 - m - k))
+        return log2_binom + log2_e + k * log2_t - math.log2(1 - rho) <= -bits
+
+    if not fits(cap):
+        return None
+    low, high = 0, cap
+    while high - low > 1:
+        mid = (low + high) // 2
+        if fits(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def _taylor_plan(wctx: PrecisionContext, hi: int, t):
+    """(K_T, F) of :func:`_taylor1p` at t for top order hi >= 0, when its
+    K_T terms are fewer than the N + K terms of :func:`_jet1p`'s shift and
+    tail and the frame F = prec + _GUARD + the cancellation's bits fits the
+    table; else None."""
+    tf = float(t)
+    if not tf < 1:
+        return None
+    bits = wctx.prec + _GUARD + int((hi + 1) * math.log2((1 + tf) / (1 - tf))) + 1
+    if bits > wctx.prec + 3 * _GUARD:
+        return None
+    shift, _, count = _shift_plan(wctx, hi, t)
+    terms = _taylor_terms(_log2(t), tf, hi, bits, shift + count - 1)
+    return None if terms is None else (terms, bits)
+
+
+def _taylor1p(wctx: PrecisionContext, lo: int, hi: int, t, count: int, bits: int):
+    """ln Gamma(1+t) = sum_{0<k<K} e_(k-1) t^k/k (order -1) and
+    psi^(m)(1+t) = m! sum_{k<K} C(m+k,k) e_(m+k) t^k for every order lo..hi,
+    each one Horner sum in the fixed-point frame at ``bits``."""
+    have, table = _psi1_table(wctx, hi + count + 1)
+    es = [e >> (have - bits) for e in table[: hi + count + 1]]
+    tt = wctx.to_fixed(t, bits)
+    values = []
+    for order in range(lo, hi + 1):
+        # each list ends at the first omitted term, which _horner leaves out
+        if order == -1:
+            acc = (_horner([e // k for k, e in enumerate(es[:count], 1)], tt, bits) * tt) >> bits
+        else:
+            coeffs = [math.comb(order + k, k) * e for k, e in enumerate(es[order : order + count + 1])]
+            acc = _horner(coeffs, tt, bits) * math.factorial(order)
+        values.append(wctx.from_fixed(acc, bits))
     return values
 
 
@@ -400,8 +676,7 @@ def _laurent(wctx: PrecisionContext, n, lo: int, hi: int, t):
         den *= ppow[top]
         # num/den floored to prec + guard bits, then rounded once more
         bits = wctx.prec + _GUARD + den.bit_length() - abs(num).bit_length()
-        quo = (num << bits) // den if bits >= 0 else num // (den << -bits)
-        value = wctx.from_fixed(quo, bits)
+        value = wctx.from_fixed(_scaled(num, den, bits), bits)
         if order == -1:
             value += -lnt if n is None else t - (t + 0.5) * lnt - wctx.ln(2 * wctx.pi) / 2
         elif order == 0 and n is not None:
@@ -429,7 +704,8 @@ def _stirling_jet(ctx: PrecisionContext, lo: int, hi: int, t, n=None):
             extra += int(math.ceil((2 * n + hi + 3) * math.log10(float(t)))) + 15
     wctx = ctx.boosted(extra)
     tw = wctx.mpf(t)
-    gs = _jet1p(wctx, lo, hi, tw)
+    plan = _taylor_plan(wctx, hi, tw) if lo < hi else None
+    gs = _jet1p(wctx, lo, hi, tw) if plan is None else _taylor1p(wctx, lo, hi, tw, *plan)
     return [ctx.mpf(g + lam) for g, lam in zip(gs, _laurent(wctx, n, lo, hi, tw))]
 
 

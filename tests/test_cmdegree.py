@@ -619,8 +619,10 @@ def test_cm_check_clear_pass_needs_no_power_and_few_dots(monkeypatch):
     [
         ("phi", (1, 3), ("2.0", "2.03125"), "2.000000000599999995092328"),
         ("negRprime:2", (0, None), ("3.8671875", "3.90625"), "4.000000000000000000200000"),
+        ("R:1", (0, None), ("1.0", "1.03125"), "1.000000012112784477613556"),
+        ("lnminuspsi", (0, None), ("1.0", "1.03125"), "1.000000002144863531351717"),
     ],
-    ids=["phi", "negRprime:2"],
+    ids=["phi", "negRprime:2", "R:1", "lnminuspsi"],
 )
 def test_degree_bisect_brackets_are_pinned(name, ends, bracket, bound):
     # the brackets of the degree-bisect benchmark, at 30 digits on the

@@ -36,6 +36,9 @@ JET_DIGITS = (40, 130, 50, 45)
 # t = 0.3 lies below the switch for every n: the sweep over n makes the
 # threads fill the Laurent table entry by entry while the others read it
 JET_NS = range(3, 31)
+# 9-order jets at t = 1e-6 take the Taylor route of psi^(m)(1+t): the
+# threads fill the psi^(j)(1)/j! table of each working precision
+TAYLOR_DIGITS = (30, 60)
 # the same jump for the kernels' Taylor tables, on both kernel branches
 KERNEL_DIGITS = (40, 130, 50)
 # the oscillatory integrals on unit panels (v <= pi, whose tables go to the
@@ -49,8 +52,8 @@ from cmlab import (
     K_kernel, PrecisionContext, bernoulli, cos_kernel_integral, f_kernel, polygamma,
     remainder_jet, sin_kernel_integral)
 
-THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, KERNEL_DIGITS, QUADRATURE_DIGITS = (
-    %d, %d, range(%d, %d), %r, range(%d, %d), %r, %r)
+(THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, TAYLOR_DIGITS, KERNEL_DIGITS,
+ QUADRATURE_DIGITS) = (%d, %d, range(%d, %d), %r, range(%d, %d), %r, %r, %r)
 
 
 def bernoulli_fill():
@@ -68,7 +71,7 @@ def polygamma_sweep():
 def jets():
     return [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS] + [
         repr(remainder_jet(PrecisionContext(15), n, 0, 16, "0.3")) for n in JET_NS
-    ]
+    ] + [repr(remainder_jet(PrecisionContext(d), 1, 1, 9, "1e-6")) for d in TAYLOR_DIGITS]
 
 
 def kernels():
@@ -129,6 +132,7 @@ print(json.dumps({"errors": errors, "threads": results, "after": work()}))
     JET_DIGITS,
     JET_NS.start,
     JET_NS.stop,
+    TAYLOR_DIGITS,
     KERNEL_DIGITS,
     QUADRATURE_DIGITS,
 )
@@ -176,6 +180,7 @@ def test_remainder_jet_filled_concurrently_matches_single_thread():
     result = _race_in_fresh_interpreter("jet")
     single = [repr(remainder_jet(PrecisionContext(d), 2, 0, 12, "0.3")) for d in JET_DIGITS]
     single += [repr(remainder_jet(PrecisionContext(15), n, 0, 16, "0.3")) for n in JET_NS]
+    single += [repr(remainder_jet(PrecisionContext(d), 1, 1, 9, "1e-6")) for d in TAYLOR_DIGITS]
     _assert_all_equal(result, single)
 
 

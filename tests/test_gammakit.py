@@ -276,3 +276,191 @@ def test_no_boost_below_one_loses_fewer_digits_than_the_guard():
     assert not over, over
     # n = 3, j = 0 loses the most: 2.93 digits
     assert max(lost, key=lost.get) == (3, 0) and 2.9 < lost[3, 0] < 3
+
+
+def _walk_term_count(tab, k0, log2_w, rel_bits):
+    """The term count as it was found before: a walk over the float logs
+    from term k0 on, one entry at a time."""
+    logs = tab.log2
+    gammakit._frac_coeffs(tab, k0)
+    prev = 0.0
+    k = k0
+    while True:
+        if len(logs) <= k:
+            gammakit._frac_coeffs(tab, k + 1)
+        rel = logs[k] - logs[k0 - 1] + (k + 1 - k0) * log2_w
+        if rel <= -rel_bits:
+            return k + 1
+        if rel >= prev:
+            raise AssertionError("series stalled at k=%d; its terms do not shrink" % (k + 1))
+        prev = rel
+        k += 1
+
+
+def test_term_count_equals_the_walk_on_a_seeded_sweep():
+    # the Stirling tables of ln Gamma, psi and psi^(m), and the kernels'
+    # Taylor tables, at seeded (k0, log2 w, bits) with c_k0 != 0; where the
+    # walk finds the terms stalling, both raise
+    from cmlab import kernels
+
+    tables = [gammakit._table(gammakit._stirling, m) for m in (-1, 0, 1, 8, 63)]
+    tables += [gammakit._table(kernels._taylor, ell) for ell in (0, 1, 5)]
+    rng = random.Random(24)
+    outcomes = {"count": 0, "stall": 0}
+    for _ in range(3000):
+        tab = rng.choice(tables)
+        k0 = rng.choice((1, 2, 3, 7, 31))
+        bits = rng.choice((60, 130, 183, 400))
+        log2_w = -rng.uniform(0.5, 40) if tab.coeff is gammakit._stirling else rng.uniform(-30, -2.2)
+        if not gammakit._frac_coeffs(tab, k0)[k0 - 1]:
+            continue
+        try:
+            want = _walk_term_count(tab, k0, log2_w, bits)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError, match=str(exc)):
+                gammakit._term_count(tab, k0, log2_w, bits)
+            outcomes["stall"] += 1
+        else:
+            assert gammakit._term_count(tab, k0, log2_w, bits) == want, (tab.param, k0, log2_w, bits)
+            outcomes["count"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 100])
+def test_psi1_table_matches_zeta(digits):
+    # e_j = psi^(j)(1)/j! = (-1)^(j+1) zeta(j+1), e_0 = -gamma, at the bits
+    # of the table: every entry of the first three blocks within 2 units
+    wctx = PrecisionContext(digits).boosted(18)
+    bits, table = gammakit._psi1_table(wctx, 3 * gammakit._BLOCK)
+    assert bits == wctx.prec + 3 * gammakit._GUARD
+    with mpmath.workdps(wctx.digits + 40):
+        for j, e in enumerate(table[: 3 * gammakit._BLOCK]):
+            want = -mpmath.euler if j == 0 else (-1) ** (j + 1) * mpmath.zeta(j + 1)
+            assert abs(e - want * mpmath.mpf(2) ** bits) < 2, j
+
+
+def _switch(wctx, hi):
+    """(below, above): t in (0, 1) on either side of the point where the
+    Taylor route of a jet with top order hi stops being the cheaper one."""
+    below, above = 1e-3, 0.9
+    assert gammakit._taylor_plan(wctx, hi, wctx.mpf(below)) is not None
+    assert gammakit._taylor_plan(wctx, hi, wctx.mpf(above)) is None
+    for _ in range(30):
+        mid = math.sqrt(below * above)
+        if gammakit._taylor_plan(wctx, hi, wctx.mpf(mid)) is None:
+            above = mid
+        else:
+            below = mid
+    return below, above
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 100])
+def test_taylor_and_shift_routes_match_oracle(digits):
+    # ln Gamma(1+t) and psi^(m)(1+t), m = 0..63, by each route forced
+    # through its internal function, against mpmath within 10^(3-digits)
+    # relative; the Taylor route also above its switch, with its own count
+    ctx = PrecisionContext(digits)
+    hi = 63
+    wctx = ctx.boosted(10 + hi)
+    below, above = _switch(wctx, hi)
+    failures = []
+    for t in (1e-12, 1e-6, 1e-3, below, above):
+        tw = wctx.mpf(t)
+        tf = float(tw)
+        bits = wctx.prec + gammakit._GUARD + int((hi + 1) * math.log2((1 + tf) / (1 - tf))) + 1
+        count = gammakit._taylor_terms(gammakit._log2(tw), tf, hi, bits, 10**4)
+        plan = gammakit._taylor_plan(wctx, hi, tw)
+        assert plan == (None if t == above else (count, bits)), t
+        routes = {
+            "taylor": gammakit._taylor1p(wctx, -1, hi, tw, count, bits),
+            "shift": gammakit._jet1p(wctx, -1, hi, tw),
+        }
+        with mpmath.workdps(wctx.digits + 20):
+            x = 1 + mpmath.mpf(tw)
+            want = [mpmath.loggamma(x)] + [mpmath.psi(m, x) for m in range(hi + 1)]
+            for route, values in routes.items():
+                for m, (got, w) in enumerate(zip(values, want), -1):
+                    if abs(mpmath.mpf(got) - w) > mpmath.mpf(10) ** (3 - digits) * abs(w):
+                        failures.append((route, t, m))
+    assert not failures, failures
+
+
+class _Unrounded:
+    """A working context whose ``from_fixed`` hands back (acc, bits)."""
+
+    def __init__(self, wctx):
+        self.wctx = wctx
+
+    def __getattr__(self, name):
+        return getattr(self.wctx, name)
+
+    def from_fixed(self, acc, bits):
+        return acc, bits
+
+
+@pytest.mark.parametrize("digits", [15, 60])
+def test_taylor_route_meets_its_stated_bound(digits):
+    # the docstring's error of the fixed-point sums before they are rounded:
+    # under (K_T + 2m + 6) units of 2^-(prec+guard) relative for m >= 1,
+    # and K_T + 8 units absolute for orders 0 and -1
+    ctx = PrecisionContext(digits)
+    worst = 0
+    for hi in (8, 63):
+        wctx = ctx.boosted(10 + hi)
+        unit = mpmath.mpf(2) ** -(wctx.prec + gammakit._GUARD)
+        for t in (1e-12, 1e-3, 0.05, _switch(wctx, hi)[0]):
+            tw = wctx.mpf(t)
+            count, bits = gammakit._taylor_plan(wctx, hi, tw)
+            sums = gammakit._taylor1p(_Unrounded(wctx), -1, hi, tw, count, bits)
+            with mpmath.workdps(wctx.digits + 60):
+                x = 1 + mpmath.mpf(tw)
+                for m, (acc, b) in enumerate(sums, -1):
+                    want = mpmath.loggamma(x) if m == -1 else mpmath.psi(m, x)
+                    err = abs(mpmath.ldexp(acc, -b) - want) / unit
+                    if m >= 1:
+                        ratio = err / abs(want) / (count + 2 * m + 6)
+                    else:
+                        ratio = err / (count + 8)
+                    worst = max(worst, ratio)
+    assert worst < 1, worst
+
+
+def test_taylor_route_serves_only_jets_of_two_orders_or_more(monkeypatch):
+    # pointwise calls keep the shift route at every t; a jet of two or more
+    # orders takes the Taylor route below its switch, and the shift route
+    # from t = 1 on
+    calls = []
+    real = gammakit._taylor1p
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(gammakit, "_taylor1p", spy)
+    ctx = PrecisionContext(30)
+    for t in (ctx.mpf("1e-10"), ctx.mpf("0.01")):
+        polygamma(ctx, 3, t)
+        ln_gamma(ctx, t)
+        gammakit._stirling_jet(ctx, 4, 4, t, 2)
+    assert calls == []
+    gammakit._stirling_jet(ctx, 0, 8, ctx.mpf("0.01"), 1)
+    gammakit._stirling_jet(ctx, -1, 0, ctx.mpf("1e-10"))
+    gammakit._stirling_jet(ctx, 0, 8, ctx.mpf("1.5"), 1)
+    assert calls == [(0, 8), (-1, 0)]
+
+
+def test_psi1_table_is_the_same_whichever_jet_builds_it_first(monkeypatch):
+    # a jet of order 8 at 70 digits and one of order 63 at 15 digits both
+    # work at 88 digits; built in either order, the table and the jets agree
+    jets = ((PrecisionContext(70), 0, 8), (PrecisionContext(15), 0, 63))
+    assert {ctx.boosted(10 + hi).digits for ctx, _, hi in jets} == {88}
+    seen = []
+    for order in (jets, jets[::-1]):
+        monkeypatch.setattr(gammakit, "_PSI1", {})
+        values = {hi: gammakit._stirling_jet(ctx, lo, hi, ctx.mpf("0.05"), 1) for ctx, lo, hi in order}
+        assert list(gammakit._PSI1) == [88]
+        seen.append((values, list(gammakit._PSI1[88])))
+    (values_a, table_a), (values_b, table_b) = seen
+    assert values_a == values_b
+    shared = min(len(table_a), len(table_b))
+    assert shared >= 2 * gammakit._BLOCK and table_a[:shared] == table_b[:shared]
