@@ -5,8 +5,9 @@ series method: the argument is raised by an integer shift N until it
 clears a precision-dependent threshold, the enveloping asymptotic series
 is summed there (its truncation error is bounded by the first omitted
 term, which alternates in sign), and the shift is undone through exact
-recurrences.  Jets of several orders at small t take the Taylor series at
-1 instead, from a table of psi^(j)(1)/j! that the same kind of sum builds.
+recurrences.  At small t the Taylor series at 1 serves instead, from a
+table of psi^(j)(1)/j! that the same kind of sum builds, and far enough
+out the series alone, with no shift.
 No gamma-family routine of the underlying arbitrary-precision library is
 called, so these values can serve as one side of an honest cross-check
 against quadrature.
@@ -21,12 +22,36 @@ caller.  Each value is rounded to the caller's context; the working
 context carries at least 10 + max(m_hi, 0) guard digits, more where
 ``PrecisionContext.boosted`` rounds up to its ladder.
 
-At or above G's shift threshold plus n the terms k > n shrink from the
-first on, and the value is ``_tail`` from k0 = n+1: nothing cancels.
+One rule picks each jet's route from its input alone: t, read at the
+working precision, the top order m_hi, the working digits and n, taken
+as 0 when there is none.  Who calls, and how many orders it asks for,
+play no part:
+
+* at or above thr + n, thr = ``_threshold`` at the working digits and
+  m_hi, the bare tail: the Bernoulli terms k > n shrink from the first
+  on, and ``_tail`` sums them from k0 = n+1;
+* below the switch of ``_taylor_plan`` (below), the Taylor series at 1;
+* between, the shift.
+
 The threshold is taken at the digits of the working context the tail is
 summed on, as ``_jet1p`` takes its own, so the ladder's extra digits
-never push a tail past the point where its terms shrink.
-Elsewhere the value is split at the shift's first step,
+never push a tail past the point where its terms shrink.  With n the
+tail is the value, and nothing cancels.  Without n, G_m(t) =
+head_{0,m}(t) + the tail from k = 1, and head_{0,m} = Lambda_None -
+Lambda_{0,m} (below) comes from the two exact Laurent tables.  Above the
+threshold these parts do not cancel.  For m >= 1, with s = (-1)^(m+1),
+Lambda_None = s m! t^-(m+1), -Lambda_{0,m} = s [(m-1)! t^-m - (m!/2)
+t^-(m+1)] and the tail, whose first term is s (m+1)!/12 t^-(m+2), all
+carry the sign s, as t >= thr > m + 9.  For m = 0 the head ln t - 1/(2t)
+is ln t + 1/(2t) less 1/t, and for m = -1 (t - 1/2) ln t - t + ln(2 pi)/2
+is (t + 1/2) ln t - t + ln(2 pi)/2 less ln t.  The working digits are at
+least 32 (15 digits, 10 guard digits, the ladder), so t >= thr >= 23,
+and there the parts' magnitudes, the tail's included, sum to under 1.13
+times the value (m = -1 at t = 23 is the worst): the sum loses under a
+fifth of a bit.  Inside Lambda_{0,-1}, (t + 1/2) ln t > 3t, so t
+cancels under a bit of it too.
+
+Below the tail's switch the value is split at the shift's first step,
 
     G_m(t) - head_{n,m}(t) = G_m(1+t) + Lambda_{n,m}(t).
 
@@ -60,7 +85,10 @@ gamma for psi and 0.1215 for ln Gamma).
 ``_jet1p`` runs in one fixed-point frame: every number is a multiple of
 2^-F with F = prec + guard + (m_hi+2) log2 z (guard = ``_GUARD`` bits,
 on top of the working context's guard digits), so that z^-(m_hi+2), the
-smallest part any order needs, still has prec + guard bits.
+smallest part any order needs, still has prec + guard bits.  It only
+sees t < thr + n, so z < max(thr + n, thr_w) + 1, thr_w being the
+threshold at its own working digits (which the boost for n and t > 1
+raises): F is bounded by the digits, the orders and n, never by t.
 
 * 1/(t+k) for 0 < k <= N takes one integer division each, and z^-e
   repeated multiplications by the last of them;
@@ -87,7 +115,7 @@ psi(1+t) = ln z - [1/(2z) + tail + shift sums], and for order -1 the
 terms (z - 1/2) ln z - z + ln(2 pi)/2 and the ln of the product stay in
 mpf; only those logarithms are not fixed point.
 
-Below t = 1 a jet of two or more orders may take a second route to
+Below t = 1 a jet, of one order or many, may take a second route to
 G_m(1+t), ``_taylor1p``: the Taylor series at 1 (Abramowitz-Stegun 6.1.33
 and 6.4; DLMF 5.7.3),
 
@@ -100,14 +128,14 @@ zeta(j+1)), each order one Horner sum in t, all in one fixed-point frame
 the cancellation's bits below; ``_laurent`` and the split are the same
 on both routes.  ``_taylor_plan`` picks the route: its term count K_T, the least K
 whose truncation bound is under one unit, taken from float logs, must be
-below the N + K terms of ``_jet1p``'s shift and tail (``_threshold`` and
-``_term_count``), and F must fit the table's bits.  That holds up to t of
-about 0.11 to 0.13 at every digits 15..100 and top order 1..63.  For
-m_hi = 8 at 30 digits (48 working digits) K_T is 6 at t = 1e-10, 21 at
-1e-3 and 67 at 0.1, against N + K = 38 + 36.  A one-order call,
-``polygamma``, ``ln_gamma`` or one derivative of a remainder, keeps the
-shift route.  The route's error, in units of 2^-F
-of S_m:
+below the N + K terms of ``_jet1p``'s shift and tail (``_shift_plan``,
+from ``_threshold`` and ``_term_count``, made once per jet and handed to
+``_jet1p`` when the shift wins), and F must fit the table's bits.  That
+holds up to t of about 0.11 to 0.13 at every digits 15..100 and top order
+-1..63.  For m_hi = 8 at 30 digits (48 working digits) K_T is 6 at t =
+1e-10, 21 at 1e-3 and 67 at 0.1, against N + K = 38 + 36.  A jet of ln
+Gamma alone (m_hi = -1) reads order 0's count and frame.  The route's
+error, in units of 2^-F of S_m:
 
 * the Horner floors: each step's under one unit, so K_T in all, as t < 1
   only shrinks what earlier steps lost.  t itself is exact in the frame
@@ -123,8 +151,8 @@ of S_m:
           <= C(m+K,K) |e_(m+K)| t^K / (1 - t(m+K+1)/(K+1)),
 
   under one unit at K = K_T.  The bound grows with m, and order -1's
-  tail lies below order 0's, so the top order's count serves every
-  order;
+  tail lies below order 0's, so the top order's count, or order 0's for
+  a jet of order -1 alone, serves every order;
 * the cancellation: the terms alternate in sign.  For m >= 1 their
   magnitudes sum to zeta(m+1, 1-t), and |S_m| = zeta(m+1, 1+t) >=
   (1+t)^-(m+1), so the largest term over |S_m| is at most
@@ -445,11 +473,12 @@ def _shift_plan(wctx: PrecisionContext, hi: int, t):
     return shift, z, count
 
 
-def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t):
+def _jet1p(wctx: PrecisionContext, lo: int, hi: int, t, plan=None):
     """ln Gamma(1+t) (order -1) and psi^(order)(1+t) for every order lo..hi,
     each summed to convergence at z = t + N (N >= 1, z past the threshold)
-    less the shift sums over 0 < k < N."""
-    shift, z, count = _shift_plan(wctx, hi, t)
+    less the shift sums over 0 < k < N; ``plan`` is :func:`_shift_plan`'s
+    (N, z, K) at t, made here when not given."""
+    shift, z, count = plan or _shift_plan(wctx, hi, t)
     log2_z = _log2(z)
     bits = wctx.prec + _GUARD + int((hi + 2) * log2_z) + 1
     one = 1 << bits
@@ -584,19 +613,20 @@ def _taylor_terms(log2_t: float, t: float, m: int, bits: int, cap: int):
     return high
 
 
-def _taylor_plan(wctx: PrecisionContext, hi: int, t):
-    """(K_T, F) of :func:`_taylor1p` at t for top order hi >= 0, when its
-    K_T terms are fewer than the N + K terms of :func:`_jet1p`'s shift and
-    tail and the frame F = prec + _GUARD + the cancellation's bits fits the
-    table; else None."""
+def _taylor_plan(wctx: PrecisionContext, hi: int, t, plan=None):
+    """(K_T, F) of :func:`_taylor1p` at t for top order hi, when its K_T
+    terms are fewer than the N + K terms of :func:`_jet1p`'s shift and
+    tail (``plan``, :func:`_shift_plan`'s at t, made here when not given)
+    and the frame F = prec + _GUARD + the cancellation's bits fits the
+    table; else None.  Order -1 alone reads order 0's count and frame."""
     tf = float(t)
     if not tf < 1:
         return None
-    bits = wctx.prec + _GUARD + int((hi + 1) * math.log2((1 + tf) / (1 - tf))) + 1
+    bits = wctx.prec + _GUARD + int((max(hi, 0) + 1) * math.log2((1 + tf) / (1 - tf))) + 1
     if bits > wctx.prec + 3 * _GUARD:
         return None
-    shift, _, count = _shift_plan(wctx, hi, t)
-    terms = _taylor_terms(_log2(t), tf, hi, bits, shift + count - 1)
+    shift, _, count = plan or _shift_plan(wctx, hi, t)
+    terms = _taylor_terms(_log2(t), tf, max(hi, 0), bits, shift + count - 1)
     return None if terms is None else (terms, bits)
 
 
@@ -688,34 +718,49 @@ def _laurent(wctx: PrecisionContext, n, lo: int, hi: int, t):
 def _stirling_jet(ctx: PrecisionContext, lo: int, hi: int, t, n=None):
     """G_m(t) for every order m = lo..hi, or with n >= 0 G_m(t) less its
     head, (-1)^n R_n^(m+1)(t); each rounded to ``ctx``.  t is read at the
-    working precision, so digits it has beyond ``ctx`` count; with n it
-    must compare with numbers (an mpf or a float)."""
+    working precision, as ``wctx.mpf(t)``, so digits it has beyond ``ctx``
+    count up to the working digits, and the route is chosen from that
+    reading, the top order hi, the working digits and n alone."""
     guard = 10 + max(hi, 0)
-    extra = guard
-    if n is not None:
-        wctx = ctx.boosted(guard)
-        # the switch reads the digits the tail is summed at, which the
-        # ladder may raise past ctx.digits + guard
-        if t >= _threshold(wctx.digits, hi) + n:
-            # the Bernoulli terms k > n shrink from the first on: nothing cancels
-            return [ctx.mpf(v) for v in _tail(wctx, lo, hi, wctx.mpf(t), n + 1)]
-        if t > 1:
-            # t is a float here; these digits absorb the cancellation
-            extra += int(math.ceil((2 * n + hi + 3) * math.log10(float(t)))) + 15
-    wctx = ctx.boosted(extra)
+    wctx = ctx.boosted(guard)
     tw = wctx.mpf(t)
-    plan = _taylor_plan(wctx, hi, tw) if lo < hi else None
-    gs = _jet1p(wctx, lo, hi, tw) if plan is None else _taylor1p(wctx, lo, hi, tw, *plan)
+    # the switch reads the digits the tail is summed at, which the
+    # ladder may raise past ctx.digits + guard
+    if tw >= _threshold(wctx.digits, hi) + (n or 0):
+        # the Bernoulli terms k > n (k >= 1 without n) shrink from the first on
+        values = _tail(wctx, lo, hi, tw, (n or 0) + 1)
+        if n is None:
+            # G_m = head_{0,m} + that tail: nothing cancels
+            heads = zip(_laurent(wctx, None, lo, hi, tw), _laurent(wctx, 0, lo, hi, tw))
+            values = [v + a - b for v, (a, b) in zip(values, heads)]
+        return [ctx.mpf(v) for v in values]
+    if n is not None and tw > 1:
+        # t is below the switch here; these digits absorb the cancellation
+        wctx = ctx.boosted(guard + int(math.ceil((2 * n + hi + 3) * math.log10(float(tw)))) + 15)
+        tw = wctx.mpf(t)
+    plan = _shift_plan(wctx, hi, tw)
+    taylor = _taylor_plan(wctx, hi, tw, plan)
+    gs = _jet1p(wctx, lo, hi, tw, plan) if taylor is None else _taylor1p(wctx, lo, hi, tw, *taylor)
     return [ctx.mpf(g + lam) for g, lam in zip(gs, _laurent(wctx, n, lo, hi, tw))]
 
 
 def _wrap(ctx: PrecisionContext, t, order: int, v) -> GammaEval:
     """The evaluation with its error bound: 10^(2-digits) relative plus
-    an absolute floor.  The series' truncation is dominated by both.  Each
-    tail stops below 2^-(prec+20) of its first term (m+1)!/12 z^-(m+2), at
-    the working precision.  For m >= 1 that term is below
-    (m-1)! z^-m <= |psi^(m)(t)|, because z > m+9.  For orders 0 and -1
-    it lies far below the absolute floor."""
+    an absolute floor, over at least 10 guard digits.  It covers each
+    route ``_stirling_jet`` may take:
+
+    * the shift (``_jet1p``) and the bare tail (``_tail`` plus
+      head_{0,m}): each Bernoulli tail stops below 2^-(prec+20) of its
+      first term (m+1)!/12 z^-(m+2), at the working precision, z = t + N
+      or t itself.  For m >= 1 that term is below (m-1)! z^-m <=
+      |psi^(m)(t)|, because z > m+9; for orders 0 and -1 it lies far
+      below the absolute floor.  The shift sums and the head lose under
+      a bit;
+    * the Taylor series at 1 (``_taylor1p``): under (K_T + 2m + 6)
+      2^-(prec+20) relative to psi^(m)(1+t) for m >= 1, which has the
+      sign of the k = 0 term (-1)^(m+1) m! t^-(m+1) added to it, and
+      K_T + 8 such units absolute for orders 0 and -1, where |psi(t)| > 7
+      and |ln Gamma(t)| > 1.8 below the switch (t < 0.14)."""
     est = abs(v) * ctx.mpf(10) ** (2 - ctx.digits) + ctx.mpf(10) ** (-(ctx.digits + 6))
     return GammaEval(t=ctx.mpf(t), value=v, order=order, est_error=est)
 

@@ -152,9 +152,6 @@ class PrecisionContext:
             raise DomainError("ln requires a positive argument, got %s" % x)
         return self._finite("ln", self._mp.ln(x), x)
 
-    def sin(self, x):
-        return self._finite("sin", self._mp.sin(self.mpf(x)), x)
-
     def cos_sin(self, x):
         """(cos x, sin x)."""
         return self._mp.cos_sin(self.mpf(x))

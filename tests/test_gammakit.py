@@ -18,6 +18,8 @@ from cmlab import (
     gammakit,
     ln_gamma,
     polygamma,
+    remainder_deriv,
+    remainder_jet,
 )
 
 # Euler-Mascheroni constant, frozen once from an 80-digit sum
@@ -425,28 +427,84 @@ def test_taylor_route_meets_its_stated_bound(digits):
     assert worst < 1, worst
 
 
-def test_taylor_route_serves_only_jets_of_two_orders_or_more(monkeypatch):
-    # pointwise calls keep the shift route at every t; a jet of two or more
-    # orders takes the Taylor route below its switch, and the shift route
-    # from t = 1 on
+def _route_points(ctx, hi, n):
+    """The rule test's points for top order hi and offset n, by name."""
+    thr = gammakit._threshold(ctx.boosted(10 + max(hi, 0)).digits, hi)
+    points = {"1e-10": "1e-10", "0.01": "0.01", "0.5": "0.5", "1.5": "1.5"}
+    points.update({"thr-1": thr - 1, "thr": thr, "thr+n": thr + (n or 0), "1e12": "1e12"})
+    return {name: ctx.mpf(t) for name, t in points.items()}
+
+
+def test_route_depends_only_on_t_top_order_digits_and_n(monkeypatch):
+    # every caller of _stirling_jet with the same t, top order, digits and
+    # n takes the same route, one-order calls as well as jets: the Taylor
+    # series below its switch, the bare tail from the threshold plus n on
+    # (n = 0 for ln Gamma and psi^(m)), the shift between; and each jet
+    # plans its shift at most once
     calls = []
-    real = gammakit._taylor1p
+    for name in ("_tail", "_taylor1p", "_jet1p", "_shift_plan"):
 
-    def spy(*args):
-        calls.append(args[1:3])
-        return real(*args)
+        def spy(*args, _real=getattr(gammakit, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
 
-    monkeypatch.setattr(gammakit, "_taylor1p", spy)
+        monkeypatch.setattr(gammakit, name, spy)
     ctx = PrecisionContext(30)
-    for t in (ctx.mpf("1e-10"), ctx.mpf("0.01")):
-        polygamma(ctx, 3, t)
-        ln_gamma(ctx, t)
-        gammakit._stirling_jet(ctx, 4, 4, t, 2)
-    assert calls == []
-    gammakit._stirling_jet(ctx, 0, 8, ctx.mpf("0.01"), 1)
-    gammakit._stirling_jet(ctx, -1, 0, ctx.mpf("1e-10"))
-    gammakit._stirling_jet(ctx, 0, 8, ctx.mpf("1.5"), 1)
-    assert calls == [(0, 8), (-1, 0)]
+    jet = gammakit._stirling_jet
+    callers = {
+        (3, None): [lambda t: polygamma(ctx, 3, t), lambda t: jet(ctx, 0, 3, t)],
+        (-1, None): [lambda t: ln_gamma(ctx, t), lambda t: jet(ctx, -1, -1, t)],
+        (4, 2): [
+            lambda t: jet(ctx, 4, 4, t, 2),
+            lambda t: remainder_deriv(ctx, 2, 5, t),
+            lambda t: jet(ctx, -1, 4, t, 2),
+        ],
+        (8, 2): [
+            lambda t: jet(ctx, 0, 8, t, 2),
+            lambda t: remainder_jet(ctx, 2, 1, 9, t),
+            lambda t: jet(ctx, 8, 8, t, 2),
+        ],
+    }
+    shift = "_jet1p"
+    want = {"1e-10": "_taylor1p", "0.01": "_taylor1p", "0.5": shift, "1.5": shift}
+    want.update({"thr-1": shift, "thr+n": "_tail", "1e12": "_tail"})
+    failures = []
+    for (hi, n), fns in callers.items():
+        # at the threshold itself, the tail without n and the shift with n = 2
+        want["thr"] = "_tail" if n is None else shift
+        for name, t in _route_points(ctx, hi, n).items():
+            expected = want[name]
+            for i, fn in enumerate(fns):
+                calls.clear()
+                fn(t)
+                routes = [c for c in calls if c != "_shift_plan"]
+                plans = len(calls) - len(routes)
+                if routes != [expected] or plans > (0 if expected == "_tail" else 1):
+                    failures.append((hi, n, name, i, calls[:]))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_ln_gamma_and_polygamma_meet_oracle_on_every_route(digits):
+    # ln Gamma (m = -1) and psi^(m) on each side of every switch, the
+    # Taylor series, the shift and the bare tail, out to t = 1e5000:
+    # within 10^(3-digits) relative of mpmath, and within est_error
+    ctx = PrecisionContext(digits)
+    failures = []
+    for m in [-1, *range(13), 31, 63]:
+        thr = gammakit._threshold(ctx.boosted(10 + max(m, 0)).digits, m)
+        points = (1e-300, 1e-6, 0.05, 0.2, thr - 0.5, thr, thr + 0.5, 1e3, 1e12, 1e300, "1e5000")
+        for t in points:
+            res = ln_gamma(ctx, t) if m == -1 else polygamma(ctx, m, t)
+            with mpmath.workdps(digits + 20):
+                x = mpmath.mpf(t)
+                want = mpmath.loggamma(x) if m == -1 else mpmath.psi(m, x)
+                err = abs(mpmath.mpf(res.value) - want)
+                if err > mpmath.mpf(10) ** (3 - digits) * abs(want):
+                    failures.append(("relative", m, t, float(err / abs(want))))
+                if err > mpmath.mpf(res.est_error):
+                    failures.append(("est_error", m, t, float(err / abs(want))))
+    assert not failures, failures
 
 
 def test_psi1_table_is_the_same_whichever_jet_builds_it_first(monkeypatch):

@@ -6,8 +6,9 @@ stay unmutated: only ``PrecisionContext.__init__`` sets a context's
 precision, and only ``precision`` and ``cli`` build contexts.  A module's
 fill lock (a module-level ``threading.Lock()``) stays its own: no other
 module names it, so a table is filled only by the module that owns it.
-Every public function has a caller outside the tests: no public API that
-only its own test uses.  No module imports from ``mpmath.calculus``."""
+Every public function, and every public method and property of an
+exported class, has a caller outside the tests: no public API that only
+its own test uses.  No module imports from ``mpmath.calculus``."""
 
 import ast
 import inspect
@@ -212,9 +213,36 @@ PUBLIC_FUNCTIONS = sorted(
 )
 
 
-def test_every_public_function_has_a_caller_outside_the_tests():
+PUBLIC_MEMBERS = sorted(
+    (cls, attr)
+    for cls in cmlab.__all__
+    if inspect.isclass(getattr(cmlab, cls))
+    for attr, value in vars(getattr(cmlab, cls)).items()
+    if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))
+)
+
+
+def _used_outside_the_tests():
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     files += sorted(DEMOS.glob("*.py"))
-    used = set().union(*(_references(p) for p in files))
+    return set().union(*(_references(p) for p in files))
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = _used_outside_the_tests()
     unused = [name for name in PUBLIC_FUNCTIONS if name not in used]
+    assert not unused, "only the tests call %s" % unused
+
+
+def test_public_members_are_found():
+    assert ("PrecisionContext", "boosted") in PUBLIC_MEMBERS
+    assert ("PrecisionContext", "prec") in PUBLIC_MEMBERS
+    assert ("DegreeBracket", "width") in PUBLIC_MEMBERS
+
+
+def test_every_public_method_and_property_has_a_caller_outside_the_tests():
+    # by name, as a Name or an Attribute; a method's references inside its
+    # own body do not count
+    used = _used_outside_the_tests()
+    unused = ["%s.%s" % member for member in PUBLIC_MEMBERS if member[1] not in used]
     assert not unused, "only the tests call %s" % unused

@@ -165,7 +165,6 @@ def test_domain_violations(which, args):
 def test_elementary_values():
     ctx = PrecisionContext(30)
     assert ctx.exp(0) == 1
-    assert abs(ctx.sin(ctx.pi)) < ctx.mpf(10) ** (-28)
     assert abs(ctx.power(2, 10) - 1024) == 0
 
 
