@@ -2,8 +2,8 @@
 
 Every family tends to 0 at infinity, so h itself is tested for complete
 monotonicity after multiplication by t^alpha: g(t) = t^alpha h(t) and the
-check requires (-1)^j g^(j)(t) >= -10^-(digits//2) for every derivative
-order j <= J on every point of a grid.  The degree of h is the largest
+check requires (-1)^j g^(j)(t) >= 0 for every derivative order j <= J on
+every point of a grid.  The degree of h is the largest
 alpha for which g stays completely monotonic, so a bisection on alpha
 between a passing and a failing endpoint brackets it.
 
@@ -19,18 +19,19 @@ g^(j) is assembled by the Leibniz rule from exact derivatives of t^alpha
 and the family's own derivatives, so no numerical differentiation happens
 anywhere; families supply analytic derivatives to order ``max_order``.
 The jet table of a bracket holds each grid point's scaled values
-H_l = t^l h^(l)(t) as mpfs and as their float copies, so that
+H_l = t^l h^(l)(t), so that
 
     g^(j)(t) = t^(alpha-j) sum_i C(j,i) <alpha>_i H_(j-i)(t):
 
 the coefficients C(j,i) <alpha>_i are made once per alpha.  t^(alpha-j)
-is positive, so only the sign of the sum decides a pass.  A float sum
-settles most signs: with s and a the float sums of the terms and of their
-absolute values, (-1)^j s > 4(j+4) 2^-53 a proves the exact sum positive
-(four times Higham's gamma_(j+3) bound for a float dot product whose
-inputs were rounded), as long as a stays well inside the float range.
-Every other (j, t) pair takes the exact sum in the working precision, and
-only a negative one pays for t^(alpha-j): t^alpha times 1/t, j times over.
+is positive, so only the sign of the sum decides a pass, and one rule
+decides it.  A row of H and the coefficients of an order are each held as
+exact integers at their least binary exponent, so the sum S of the mpf
+products is one exact integer sum, with no rounding of its own.
+(-1)^j S >= 0 passes.  A negative one is a decided failure where |S|
+exceeds 10^(3-digits) times the sum of its terms' absolute values, the
+radius of the inputs' rounding, and undecided otherwise.  Only a failing
+pair pays for t^(alpha-j): t^alpha times 1/t, j times over.
 
 A family answers with a jet, every order 0..J at once, so a grid point's
 first need fills its whole row from one call.
@@ -124,35 +125,31 @@ class DegreeBracket:
         return self.passed_alpha <= x <= self.failed_alpha
 
 
-#: unit roundoff of a float, and the range in which the float filter of
-#: :func:`cm_check` trusts its sums and its inputs
-_U = 2.0**-53
-_TINY = 2.0**-900
-_HUGE = 2.0**900
-
-
-def _float_or_nan(x):
-    """float(x), or nan where x lies outside [2^-1000, 2^1000] and is not
-    0: there the float would carry an absolute, not a relative, error."""
-    f = float(x)
-    if 2.0**-1000 < abs(f) < 2.0**1000 or not x:
-        return f
-    return math.nan
+def _aligned(xs):
+    """(ms, low) with xs[i] == ms[i] 2^low exactly: the signed mantissas of
+    the finite mpfs ``xs`` shifted to their least exponent."""
+    parts = [x._mpf_ for x in xs]
+    low = min((e for _, m, e, _ in parts if m), default=0)
+    return [(-m if sign else m) << (e - low) for sign, m, e, _ in parts], low
 
 
 class _JetTable:
-    """One family's scaled jet H_l = t^l h^(l)(t) at each point of one grid,
-    as mpfs and as their :func:`_float_or_nan` copies.  A point's first need
-    fills its row from one jet; a later, higher ``top`` appends the rest."""
+    """One family's scaled jet H_l = t^l h^(l)(t) at each point of one grid.
+    A row holds the mpfs H_0, H_1, ... and their exact integers M_l with
+    H_l = M_l 2^low at the row's least exponent.  A point's first need
+    fills its row from one jet; a later, higher ``top`` appends the rest
+    and aligns the row again."""
 
     def __init__(self, ctx, family, grid):
         self.key = (ctx, family, grid)
         self.points = grid.points(ctx)
-        self.rows = [([], []) for _ in self.points]
+        self.rows = [([], [], 0) for _ in self.points]
 
     def row(self, idx, top):
-        """(mpfs, floats) at grid point ``idx``, each holding H_0..H_top."""
-        hs, fs = self.rows[idx]
+        """(mpfs, integers, low) at grid point ``idx``, holding at least
+        H_0..H_top.  A non-finite H is a :class:`DomainError`."""
+        row = self.rows[idx]
+        hs = row[0]
         if len(hs) <= top:
             ctx, family, _ = self.key
             t = self.points[idx]
@@ -160,9 +157,11 @@ class _JetTable:
             for l, h in zip(range(top + 1), family.eval_deriv(ctx, top, t), strict=True):
                 if l == len(hs):
                     hs.append(ctx.mpf(h) * tl)
-                    fs.append(_float_or_nan(hs[-1]))
+                    if not ctx.isfinite(hs[-1]):
+                        raise DomainError("%s: H_%d is %s at t=%s" % (family.name, l, hs[-1], t))
                 tl *= t
-        return hs, fs
+            row = self.rows[idx] = (hs, *_aligned(hs))
+        return row
 
 
 def _table(ctx, family, grid, table):
@@ -183,20 +182,16 @@ def cm_check(
     grid: GridSpec = DEFAULT_GRID,
     _cache=None,
 ) -> CMCheckResult:
-    """Test (-1)^j [t^alpha h]^(j) >= -10^-(digits//2) for all j <= order
-    on the grid.
+    """Test (-1)^j [t^alpha h]^(j) >= 0 for all j <= order on the grid.
 
-    A (j, t) pair whose float Leibniz sum is positive beyond its rounding
-    bound passes at once; any other pair is summed exactly with
-    ``ctx.dot``, and t^(alpha-j) is computed only where that sum has the
-    wrong sign.  The float sums read the float copies of the jet table's
-    rows, so verdicts and witnesses are those of the exact sums alone.
-
-    A failing pair whose exact sum lies within 10^(3-digits) of the sum of
-    its terms' absolute values is undecided: each H is within 10^(3-digits)
-    relative and the sum is exact, so its sign may be rounding.  The scan
-    goes on past it; a decided failure is returned at once, and where only
-    undecided ones turn up the result is the first of them.
+    Each (j, t) pair is decided by one exact integer sum of its Leibniz
+    terms, from the jet table's integer rows and the order's integer
+    coefficients, and t^(alpha-j) is computed only where that sum has the
+    wrong sign.  A failing pair whose sum lies within 10^(3-digits) of the
+    sum of its terms' absolute values is undecided: each H and coefficient
+    is within 10^(3-digits) relative, so its sign may be rounding.  The
+    scan goes on past it; a decided failure is returned at once, and where
+    only undecided ones turn up the result is the first of them.
 
     ``_cache`` may be a jet table of this context, family and grid, shared
     between calls: its jets dominate the cost of scanning many alphas.
@@ -213,46 +208,36 @@ def cm_check(
     if not (ctx.isfinite(alpha0) and alpha0 >= 0):
         raise DomainError("alpha must be finite and >= 0, got %s" % alpha0)
     table = _table(ctx, family, grid, _cache)
-    tol = ctx.mpf(10) ** (-(ctx.digits // 2))
-    noise = ctx.mpf(10) ** (3 - ctx.digits)
+    scale = 10 ** (ctx.digits - 3)
     undecided = None
 
-    # coef[j][i] = C(j,i) <alpha>_i, with d^i/dt^i t^alpha = <alpha>_i t^(alpha-i)
+    # coef[j] = C(j,i) <alpha>_i for i <= j, with d^i/dt^i t^alpha = <alpha>_i
+    # t^(alpha-i), as exact integers at order j's least exponent
     fall = [ctx.mpf(1)]
     for i in range(1, order + 1):
         fall.append(fall[-1] * (alpha0 - (i - 1)))
-    coef = [[math.comb(j, i) * fall[i] for i in range(j + 1)] for j in range(order + 1)]
-    coef_f = [[_float_or_nan(c) for c in cj] for cj in coef]
+    coef = [_aligned([math.comb(j, i) * fall[i] for i in range(j + 1)]) for j in range(order + 1)]
 
-    for j in range(order + 1):
+    for j, (cj, low_c) in enumerate(coef):
         negate = j % 2 == 1
-        cj = coef[j]
-        cf = coef_f[j]
-        slack = 4 * (j + 4) * _U
         for idx, t in enumerate(table.points):
-            hs, hf = table.row(idx, order)
-            prods = list(map(operator.mul, cf, hf[j::-1]))
+            _, ms, low = table.row(idx, order)
+            prods = list(map(operator.mul, cj, ms[j::-1]))
             s = sum(prods)
-            a = sum(map(abs, prods))
-            if (-s if negate else s) > slack * a and _TINY < a < _HUGE:
+            if (-s if negate else s) >= 0:
                 continue
-            dot = ctx.dot(cj, hs[j::-1])
-            if (-dot if negate else dot) >= 0:
+            decided = abs(s) * scale > sum(map(abs, prods))
+            if not decided and undecided is not None:
                 continue
             # t^(alpha-j) as t^alpha times 1/t, j times over
             tpow = ctx.power(t, alpha0)
             tinv = 1 / t
             for _ in range(j):
                 tpow *= tinv
-            signed = dot * tpow
-            if negate:
-                signed = -signed
-            if not signed >= -tol:
-                size = ctx.dot([abs(c) for c in cj], [abs(h) for h in hs[j::-1]])
-                if not abs(dot) <= noise * size:
-                    return CMCheckResult(False, j, +t, signed)
-                if undecided is None:
-                    undecided = CMCheckResult(False, j, +t, signed, undecided=True)
+            signed = ctx.from_fixed(-s if negate else s, -(low_c + low)) * tpow
+            if decided:
+                return CMCheckResult(False, j, +t, signed)
+            undecided = CMCheckResult(False, j, +t, signed, undecided=True)
     return CMCheckResult(True) if undecided is None else undecided
 
 
@@ -271,7 +256,7 @@ def first_deriv_bound(
     table = _table(ctx, family, grid, _cache)
     best = None
     for idx in range(len(table.points)):
-        hs, _ = table.row(idx, 1)
+        hs = table.row(idx, 1)[0]
         if not hs[0] > 0:
             continue
         val = -hs[1] / hs[0]

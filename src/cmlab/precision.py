@@ -120,10 +120,6 @@ class PrecisionContext:
             ctx = shared[digits] = PrecisionContext(digits)
         return ctx
 
-    def dot(self, xs, ys):
-        """sum_i xs[i] ys[i] with exact products and one final rounding."""
-        return self._mp.fdot(xs, ys)
-
     # -- constants ---------------------------------------------------
 
     @property

@@ -179,27 +179,30 @@ def test_cm_check_cache_is_shared():
     table = _JetTable(ctx, fam, COARSE)
     assert cm_check(ctx, fam, 1, order=3, grid=COARSE, _cache=table).passed
     assert len(calls) == COARSE.count
-    # each row holds H_l = t^l h^(l)(t), l <= 3, as mpfs and as float copies
-    for t, (hs, fs) in zip(COARSE.points(ctx), table.rows):
+    # each row holds H_l = t^l h^(l)(t), l <= 3, as mpfs and as integers
+    # M_l with M_l 2^low == H_l exactly, one of them odd
+    for t, (hs, ms, low) in zip(COARSE.points(ctx), table.rows):
         want, tl = [], ctx.mpf(1)
         for h in base.eval_deriv(ctx, 3, t):
             want.append(h * tl)
             tl *= t
         assert hs == want
-        assert fs == [cmdegree._float_or_nan(h) for h in hs]
+        assert [ctx._mp.ldexp(m, low) for m in ms] == hs
+        assert any(m % 2 for m in ms)
     calls.clear()
-    rows = [(list(hs), list(fs)) for hs, fs in table.rows]
+    rows = list(table.rows)
     # a second alpha on the same grid reuses every stored row
     cm_check(ctx, fam, "0.7", order=3, grid=COARSE, _cache=table)
     assert calls == []
-    assert [(list(hs), list(fs)) for hs, fs in table.rows] == rows
-    # a higher order makes one jet per point and appends only the new orders
+    assert all(a is b for a, b in zip(table.rows, rows))
+    # a higher order makes one jet per point, appends only the new orders
+    # and aligns the row again
     cm_check(ctx, fam, "0.7", order=5, grid=COARSE, _cache=table)
     assert [top for top, _ in calls] == [5] * COARSE.count
-    for (hs, fs), (old_hs, old_fs) in zip(table.rows, rows):
-        assert len(hs) == len(fs) == 6
-        assert all(a is b for a, b in zip(hs, old_hs))
-        assert fs[:4] == old_fs
+    for (hs, ms, low), (old_hs, _, _) in zip(table.rows, rows):
+        assert len(hs) == len(ms) == 6
+        assert all(a is b for a, b in zip(hs[:4], old_hs))
+        assert [ctx._mp.ldexp(m, low) for m in ms] == hs
 
 
 @pytest.mark.parametrize("other", ["family", "grid", "ctx", "dict"])
@@ -232,30 +235,40 @@ def test_cm_check_rejects_a_jet_of_the_wrong_length():
             cm_check(ctx, fam, 1, order=4, grid=COARSE)
 
 
-def test_degree_estimate_makes_each_float_copy_once(monkeypatch):
-    # one float copy per H_l and grid point, and one per Leibniz
-    # coefficient C(j,i) <alpha>_i of each check
+def test_degree_estimate_aligns_each_row_once(monkeypatch):
+    # one integer row per grid point, aligned when its one jet fills it,
+    # and one row of Leibniz coefficients C(j,i) <alpha>_i per order of
+    # each check
     ctx = PrecisionContext(30)
-    floats, checks = [], []
-    float_or_nan, check = cmdegree._float_or_nan, cmdegree.cm_check
+    rows, checks = [], []
+    aligned, check = cmdegree._aligned, cmdegree.cm_check
 
-    def counted_float(x):
-        floats.append(x)
-        return float_or_nan(x)
+    def counted_aligned(xs):
+        rows.append(len(xs))
+        return aligned(xs)
 
     def counted_check(*args, **kwargs):
         checks.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(cmdegree, "_float_or_nan", counted_float)
+    monkeypatch.setattr(cmdegree, "_aligned", counted_aligned)
     monkeypatch.setattr(cmdegree, "cm_check", counted_check)
     order = 6
     degree_estimate(
         ctx, builtin_families()["negRprime:2"], resolution=0.1, order=order, grid=COARSE
     )
-    coefs = (order + 1) * (order + 2) // 2
     assert len(checks) > 2
-    assert len(floats) == COARSE.count * (order + 1) + len(checks) * coefs
+    assert rows[: order + 1] == list(range(1, order + 2))
+    assert rows.count(order + 1) == COARSE.count + len(checks)
+    assert len(rows) == COARSE.count + len(checks) * (order + 1)
+
+
+def test_cm_check_rejects_a_non_finite_jet():
+    # an infinite H has no integer mantissa: it must not read as 0
+    ctx = PrecisionContext(30)
+    fam = family("inf", lambda c, j, t: c.mpf("inf") if j == 2 else c.mpf(1) / t)
+    with pytest.raises(DomainError, match="H_2 is \\+inf"):
+        cm_check(ctx, fam, 0, order=3, grid=COARSE)
 
 
 def test_cm_check_validation():
@@ -455,11 +468,11 @@ def test_cm_check_result_is_truthy_wrapper():
 
 
 def reference_cm_check(ctx, alpha, order, grid, table):
-    """The all-mpf check: every (j, t) pair summed by ``ctx.dot`` and
-    weighted by t^(alpha-j), with t^alpha made for every point up front.
-    It reads only the mpf rows of the jet ``table``."""
+    """The all-mpf check: every (j, t) pair summed by mpmath's ``fdot``
+    and weighted by t^(alpha-j), with t^alpha made for every point up
+    front; the first negative sum fails.  It reads only the mpf rows of
+    the jet ``table``."""
     alpha0 = ctx.mpf(alpha)
-    tol = ctx.mpf(10) ** (-(ctx.digits // 2))
     pts = grid.points(ctx)
     fall = [ctx.mpf(1)]
     for i in range(1, order + 1):
@@ -471,12 +484,12 @@ def reference_cm_check(ctx, alpha, order, grid, table):
         for idx, t in enumerate(pts):
             if j:
                 tpow[idx] *= tinv[idx]
-            row, _ = table.row(idx, order)
+            row = table.row(idx, order)[0]
             hs = [row[j - i] for i in range(j + 1)]
-            signed = ctx.dot(coef[j], hs) * tpow[idx]
+            signed = ctx._mp.fdot(coef[j], hs) * tpow[idx]
             if j % 2:
                 signed = -signed
-            if not signed >= -tol:
+            if not signed >= 0:
                 return CMCheckResult(False, j, +t, signed)
     return CMCheckResult(True)
 
@@ -498,8 +511,8 @@ BOTH_SIDES = {
 
 @pytest.mark.parametrize("name", sorted(BOTH_SIDES), ids="{}-jet".format)
 def test_cm_check_verdicts_match_all_mpf_reference(name):
-    # the float filter only skips pairs whose exact sum is positive, so
-    # every verdict and witness is the all-mpf loop's, bit for bit
+    # no decided sum on either side lies near the noise radius, so every
+    # verdict and witness is the all-mpf loop's, bit for bit
     ctx = PrecisionContext(30)
     fam = builtin_families()[name]
     table, ref_table = _JetTable(ctx, fam, COARSE), _JetTable(ctx, fam, COARSE)
@@ -514,8 +527,8 @@ def test_cm_check_verdicts_match_all_mpf_reference(name):
 
 @pytest.mark.parametrize("alpha", ["1.9", "2.1"])
 def test_cm_check_matches_reference_beyond_float_range(alpha):
-    # H_l reaches about 1e600 at t = 1e-300: no float holds it, so those
-    # pairs take the exact sum
+    # H_l reaches about 1e600 at t = 1e-300, beyond any float: the
+    # integer rows hold it as they hold every other value
     ctx = PrecisionContext(30)
     grid = GridSpec(1e-300, 1e300, 40)
     fam = builtin_families()["phi"]
@@ -530,21 +543,21 @@ def inverse_square_deriv(ctx, j, t):
 
 def test_cm_check_matches_reference_on_cancelling_sums():
     # h = t^-2 at alpha = 2: g = 1, so every sum of order j >= 1 is a
-    # cancellation down to rounding, which the float filter cannot sign;
-    # each failure lies inside 10^(3-digits) of its terms' sizes, so the
-    # first of them is returned, undecided
+    # cancellation down to rounding; each failure lies inside
+    # 10^(3-digits) of its terms' sizes, so the first of them, at order
+    # 1, is returned, undecided
     ctx = PrecisionContext(30)
     fam = family("inverse-square", inverse_square_deriv)
     got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
     want = reference_cm_check(ctx, 2, 8, COARSE, _JetTable(ctx, fam, COARSE))
-    assert not want.passed
+    assert not want.passed and want.order == 1
     assert verdict(got) == verdict(want) and got.undecided
 
 
 def test_cm_check_decided_witness_wins_over_an_earlier_undecided_one():
     # t^-2 with its third derivative 1e-3 too small above t = 100: at
     # alpha = 2 the order-3 sum there is -1e-3 H_3, far outside the noise,
-    # while the same order's first failure, near t = 1e-6, is noise
+    # while the first failures, from order 1 on, are noise
     def deriv(ctx, j, t):
         value = inverse_square_deriv(ctx, j, t)
         return value * (1 - ctx.mpf("1e-3")) if j == 3 and t > 100 else value
@@ -552,18 +565,41 @@ def test_cm_check_decided_witness_wins_over_an_earlier_undecided_one():
     ctx = PrecisionContext(30)
     fam = family("inverse-square-broken", deriv)
     first = reference_cm_check(ctx, 2, 8, COARSE, _JetTable(ctx, fam, COARSE))
-    assert (first.order, float(first.t)) == (3, pytest.approx(1e-6))
+    assert first.order == 1 and first.t < 1e-5
     got = cm_check(ctx, fam, 2, order=8, grid=COARSE)
     assert not got.passed and not got.undecided
     assert got.order == 3 and got.t > 100
     assert got.value == pytest.approx(-24e-3 * float(got.t) ** -3, rel=1e-6)
 
 
+@pytest.mark.parametrize("delta", ["1e-12", "1e-24", "1e-29"])
+def test_cm_check_decides_a_failure_by_its_relative_size(delta):
+    # the same family with H_3 a relative delta too small above t = 100:
+    # the order-3 sum there is 24 delta t^-2 against terms of size 72
+    # t^-2, decided wherever delta/3 exceeds the 10^-27 radius of 30
+    # digits, however small t^(alpha-3) makes the value; delta = 1e-29
+    # lies inside the radius and stays undecided
+    def deriv(ctx, j, t):
+        value = inverse_square_deriv(ctx, j, t)
+        return value * (1 - ctx.mpf(delta)) if j == 3 and t > 100 else value
+
+    ctx = PrecisionContext(30)
+    got = cm_check(ctx, family("inverse-square-scaled", deriv), 2, order=8, grid=COARSE)
+    assert not got.passed
+    if delta == "1e-29":
+        assert got.undecided and got.order == 1
+    else:
+        assert not got.undecided
+        assert got.order == 3 and got.t > 100
+        want = -24 * float(delta) * float(got.t) ** -3
+        assert got.value == pytest.approx(want, rel=1e-6)
+
+
 @pytest.mark.parametrize("digits", [15, 20])
 def test_phi_below_25_digits_fails_only_undecided_at_its_degree(digits):
-    # the rounding noise of phi's sums near t = 1e-10, scaled by
-    # t^(alpha-j), reaches far below -10^-(digits//2) at alpha = 2: the
-    # bracket keeps that failing end, and reports it undecided
+    # phi's sums near t = 1e-10 cancel into their rounding noise at
+    # alpha = 2, and some come out negative: the bracket keeps that
+    # failing end, and reports it undecided
     ctx = PrecisionContext(digits)
     phi = builtin_families()["phi"]
     res = cm_check(ctx, phi, 2, order=8, grid=DEFAULT_GRID)
@@ -593,25 +629,18 @@ def test_cm_check_matches_reference_below_float_resolution(beta):
     assert verdict(got) == verdict(want)
 
 
-def test_cm_check_clear_pass_needs_no_power_and_few_dots(monkeypatch):
-    calls = {"dot": 0, "power": 0}
-    dot, power = PrecisionContext.dot, PrecisionContext.power
-
-    def counted_dot(self, xs, ys):
-        calls["dot"] += 1
-        return dot(self, xs, ys)
+def test_cm_check_clear_pass_needs_no_power(monkeypatch):
+    calls = []
+    power = PrecisionContext.power
 
     def counted_power(self, x, a):
-        calls["power"] += 1
+        calls.append(x)
         return power(self, x, a)
 
-    monkeypatch.setattr(PrecisionContext, "dot", counted_dot)
     monkeypatch.setattr(PrecisionContext, "power", counted_power)
     ctx = PrecisionContext(30)
     assert cm_check(ctx, builtin_families()["phi"], 1, order=8, grid=COARSE).passed
-    pairs = 9 * COARSE.count
-    assert calls["power"] == 0
-    assert calls["dot"] < 0.05 * pairs
+    assert calls == []
 
 
 @pytest.mark.parametrize(
