@@ -8,11 +8,15 @@ Covers the four integral shapes the package needs:
 * the sine moments    int_0^inf u^p sin(su)/(e^u - 1) du
 
 The engine is deliberately simple and certifiable: panels integrated by
-*nested pairs* of Gauss-Legendre rules, with nodes made here (a rising
-pair must agree to the panel tolerance, otherwise the panel is bisected),
-plus analytic
-exponential tail bounds for the cutoff.  All four shapes run the same
-panel march and differ only in their panels and their tail bound:
+*embedded* Gauss-Kronrod pairs, whose nodes and weights ``nodes`` makes,
+plus analytic exponential tail bounds for the cutoff.  One pass of the
+(2n+1)-node Kronrod rule gives its sum K and, from the same evaluations,
+the n-node Gauss sum G; the panel is accepted once they agree to its
+tolerance or to its rounding floor, at n = 12, 24, 48 in turn (6, 12, 24
+in the frame below), and is otherwise bisected.  The rule of degree m
+has n = 3 2^(m-1), and ``_panel`` spends its 2n + 1 evaluations.  All
+four shapes run the same panel march and differ only in their panels and
+their tail bound:
 doubling panels for ``laplace`` and ``bose_moment``, and panels aligned to
 half-periods for the oscillatory integrands, so each panel is smooth and
 non-oscillatory.  ``bose_moment`` and the oscillatory integrals share one
@@ -37,9 +41,11 @@ that depends on both a and y:
 
 Both terms of the second are >= 0, so nothing cancels, and the integrand
 is e^{-r a} u^p trig / (expm1(r y) + G).  A table per (degree, half) holds
-y, the weight, expm1(r y) and cos/sin(f y) at each node; the last come by
-angle addition from cos/sin(f half) and cos/sin(f half x), since the
-nodes come in pairs x, -x.  Per panel start a the frame holds a,
+y, the K and G weights, expm1(r y) and cos/sin(f y) at each node; the
+last come by angle addition from cos/sin(f half) and cos/sin(f half x),
+since the nodes come in pairs x, -x.  The centre x = 0, a node of every
+rule here and the one without a partner, is the table's last entry, with
+cos/sin(f half) itself.  Per panel start a the frame holds a,
 cos/sin(f a) and G = 2^F - floor(e^{-r a} 2^F) (in units of 2^-F), and
 e^{-r a} multiplies the panel's sum in mpf.  So a panel costs one cos_sin
 and one exp, and a node integer multiplies and one floor division.  Each
@@ -54,42 +60,14 @@ node's quotient is floored once.  Divided by expm1(r y) + G >= expm1(r y)
 and summed with weights whose w_i/(1 + x_i) add up to a few times log N,
 this leaves the panel's value off by at most a few dozen units times the
 envelope u^p/(e^{r u} - 1) at its largest on the panel: with F = prec + 20,
-far below the rounding floor 10 eps (1 + |hi|) that every panel counts in
+far below the rounding floor 10 eps (1 + |K|) that every panel counts in
 its error bound.  Like that floor, the frame is absolute: an integral far
 below its envelope (the cosine kernel at v near 0) keeps no more than that.
 
-Every rule's nodes and weights come from ``_gl_nodes``, in the same
-frame: F = prec + ``_GUARD`` bits for the context it is called on.  The
-rule of degree m has n = 3 2^(m-1) nodes, mpmath's convention, which
-``_panel``'s evaluation budget assumes.  Each positive root x of P_n starts
-from Newton in floats from cos(pi (k - 1/4) / (n + 1/2)) and then takes
-integer Newton steps x - P_n (x^2 - 1) / (n (x P_n - P_(n-1))) until the
-step s predicts it has left both node and weight within a unit:
-n(n+1) s^2 / (1 - x^2) < 2^-F.  Newton's error after the step is about
-P_n''/(2 P_n') s^2 = x s^2 / (1 - x^2) at a root, and the weight reads
-d = x P_n - P_(n-1) from before the step, off by about
-n(n+1) s^2 / (2 (1 - x^2)) relative since d' = (n+1) P_n.  From a float
-start that is one integer step at 53 bits, two at 103 and 126, and
-about three at 336:
-
-* P_n(x) and P_(n-1)(x) come from the recurrence
-  j P_j = (2j-1) x P_(j-1) - (j-1) P_(j-2) with one floor per step, each
-  losing under one unit; forward on [-1, 1] the recurrence carries those
-  losses without amplifying them much;
-* so Newton settles where the computed P_n(x) vanishes, off the root by
-  P_n's error over |P_n'(x)|, and the weight
-  w = 2 (1 - x^2) / (n (x P_n - P_(n-1)))^2 takes one floor division.
-
-Against mpmath's rule at 600 bits, for degrees 2..6 at 53 to 336 bits,
-every node lies within 1.5 units and every weight within 6.1 units (under
-2^-(F-13) relative, the smallest weight at n = 96 being about 2^-10).
-Each value is then rounded once to the context, which adds at most half
-an ulp.  The pairs come as (x, w), (-x, w) with x descending.
-
 The half-period panels are pi/s or pi/v wide, capped at 1 and cut to
 prec - 32 bits, so that panel ends and bisection points are exact and a
-call meets few halves; each half's tables serve every panel, and a panel
-of degree 2..5 has 6 + 12 + 24 + 48 = 90 nodes.  For s or v <= pi they are
+call meets few halves; each half's tables serve every panel, and a panel's
+rules of degree 2..4 have 13 + 25 + 49 = 87 nodes.  For s or v <= pi they are
 the unit panels [k, k+1] of every call, and two module-level caches keep
 what does not depend on s or v: the node tables, keyed by (bits, r,
 degree, half), and e^{-r a} and G, keyed by (bits, r, a).  No key holds
@@ -106,6 +84,7 @@ from typing import Callable
 from .errors import DomainError, IntegrationError, check_int
 from .gammakit import _GUARD, _fixed_coeffs, _log2, _table, _term_count
 from .kernels import _taylor
+from .nodes import _gk_nodes
 from .precision import PrecisionContext
 
 __all__ = [
@@ -127,10 +106,10 @@ _MAX_SPLIT_DEPTH = 40
 class IntegralResult:
     """Value of a semi-infinite integral with a conservative error bound.
 
-    ``est_error`` adds, for every panel, the nested-rule disagreement and
-    the rounding floor 10 eps (1 + |panel value|) to the analytic bound on
-    the discarded tail; on success it is below the tolerance that was
-    requested.
+    ``est_error`` adds, for every panel, the disagreement |K - G| of its
+    Gauss-Kronrod pair and the rounding floor 10 eps (1 + |K|) to the
+    analytic bound on the discarded tail; on success it is below the
+    tolerance that was requested.
     """
 
     value: object
@@ -154,73 +133,13 @@ class _Budget:
             )
 
 
-# -- Gauss-Legendre panel machinery -----------------------------------
-
-# (digits, degree) -> list of (node, weight) on [-1, 1]
-_GL_CACHE: dict = {}
-
-
-def _float_root(n: int, k: int) -> float:
-    """The k-th largest root of P_n to float accuracy, by Newton from the
-    asymptotic start cos(pi (k - 1/4) / (n + 1/2))."""
-    x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-    while True:
-        p1, p0 = x, 1.0
-        for j in range(2, n + 1):
-            p1, p0 = ((2 * j - 1) * x * p1 - (j - 1) * p0) / j, p1
-        step = p1 * (x * x - 1) / (n * (x * p1 - p0))
-        x -= step
-        if abs(step) < 1e-10:
-            return x
-
-
-def _legendre(x: int, n: int, bits: int):
-    """P_n and P_(n-1) at x 2^-bits, each a fixed-point integer at
-    ``bits``, by the three-term recurrence with one floor per step."""
-    p1, p0 = x, 1 << bits
-    for j in range(2, n + 1):
-        p1, p0 = (((2 * j - 1) * x * p1 - ((j - 1) * p0 << bits)) >> bits) // j, p1
-    return p1, p0
-
-
-def _gl_nodes(ctx: PrecisionContext, degree: int):
-    """The Gauss-Legendre rule of n = 3 2^(degree-1) nodes (degree >= 2) as
-    pairs (x, w), (-x, w) with x descending, each rounded once to ``ctx``;
-    cached by (digits, degree).  See the module docstring."""
-    key = (ctx.digits, degree)
-    nodes = _GL_CACHE.get(key)
-    if nodes is None:
-        n = 3 << (check_int(degree, "Gauss-Legendre degree", 2) - 1)
-        bits = ctx.prec + _GUARD
-        one2 = 1 << (2 * bits)  # 1 in units of 2^-(2 bits)
-        nodes = []
-        for k in range(1, n // 2 + 1):
-            x = int(math.ldexp(_float_root(n, k), 53)) << (bits - 53)
-            while True:
-                p1, p0 = _legendre(x, n, bits)
-                # P_n' = n (x P_n - P_(n-1)) / (x^2 - 1), with d = x P_n - P_(n-1)
-                d = x * p1 - (p0 << bits)
-                step = p1 * (x * x - one2) // (n * d)
-                x -= step
-                # the step leaves x about x step^2/(1 - x^2) off, as
-                # P_n''/P_n' = 2x/(1 - x^2) at a root; d, which the weight
-                # reads from before the step, has d' = (n+1) P_n, so it is
-                # off by about n(n+1) step^2/(2(1 - x^2)) relative.  Stop
-                # once both are under a unit
-                if (n * (n + 1) * step * step) << bits < one2 - x * x:
-                    break
-            # w = 2 / ((1 - x^2) P_n'^2) = 2 (1 - x^2) / (n d)^2
-            w = ((one2 - x * x) << (3 * bits + 1)) // (n * n * d * d)
-            x, w = ctx.from_fixed(x, bits), ctx.from_fixed(w, bits)
-            nodes += [(x, w), (-x, w)]
-        nodes = _GL_CACHE.setdefault(key, nodes)
-    return nodes
+# -- Gauss-Kronrod panels ------------------------------------------------
 
 
 def _panel(rule, a, b, budget, degree):
-    """One Gauss-Legendre pass of the given degree over [a, b]; mpmath's
-    rule of degree m has 3 * 2^(m-1) nodes."""
-    budget.spend(3 << (degree - 1))
+    """One Gauss-Kronrod pass of the given degree over [a, b]: the K and G
+    estimates from the 2n+1 evaluations of the Kronrod rule, n = 3 2^(degree-1)."""
+    budget.spend((3 << degree) + 1)
     return rule(a, b, degree)
 
 
@@ -230,26 +149,31 @@ def _pointwise(ctx, f):
     def rule(a, b, degree):
         mid = (a + b) / 2
         half = (b - a) / 2
-        acc = ctx.mpf(0)
-        for x, w in _gl_nodes(ctx, degree):
-            acc += w * f(mid + half * x)
-        return half * acc
+        centre, rows = _gk_nodes(ctx, degree)
+        k = centre * f(mid)
+        g = ctx.mpf(0)
+        for x, wk, wg in rows:
+            fx = f(mid + half * x) + f(mid - half * x)
+            k += wk * fx
+            if wg:
+                g += wg * fx
+        return half * k, half * g
 
     return rule
 
 
 def _integrate_panel(ctx, rule, a, b, panel_tol, budget, degree=5, depth=0):
-    """Nested-pair panel integral: pairs of consecutive degree climb from
-    degree-2 until two rules agree, else the panel is bisected (bounds add).
-    The bound is the pair's disagreement plus the rounding floor."""
-    hi = _panel(rule, a, b, budget, degree - 2)
-    for d in range(degree - 1, degree + 2):
-        lo, hi = hi, _panel(rule, a, b, budget, d)
-        diff = abs(hi - lo)
+    """Embedded-pair panel integral: from degree-2 up to degree, one pass
+    of the Kronrod rule gives K and the Gauss estimate G from the same
+    evaluations, and the panel is accepted once they agree, else bisected
+    (bounds add).  The bound is |K - G| plus the rounding floor."""
+    for d in range(degree - 2, degree + 1):
+        k, g = _panel(rule, a, b, budget, d)
+        diff = abs(k - g)
         # rounding floor: below this level the disagreement is noise, not signal
-        floor = 10 * ctx.eps * (1 + abs(hi))
+        floor = 10 * ctx.eps * (1 + abs(k))
         if diff <= panel_tol or diff <= floor:
-            return hi, diff + floor
+            return k, diff + floor
     if depth >= _MAX_SPLIT_DEPTH:
         raise IntegrationError(
             "panel [%s, %s] did not converge after %d bisections" % (a, b, depth),
@@ -472,21 +396,22 @@ class _FrameRule:
         return [self._fixed(c) for c in self.wctx.cos_sin(self.angle * x)]
 
     def _node_table(self, degree, half):
-        """For a panel 2 half wide: the nodes x > 0, and in the frame
-        y = half (1 + x), the weight and expm1(rate y), at x and -x in turn.
-        Gauss-Legendre nodes come in pairs x, -x of one weight, with no
-        node at 0 from degree 2 on."""
+        """For a panel 2 half wide: the Kronrod nodes x > 0, and in the
+        frame y = half (1 + x), the K and G weights and expm1(rate y), at
+        x and -x in turn, and last at the centre x = 0, which has no
+        partner."""
         key = (self.bits, self.rate, degree, half)
         table = self.nodes.get(key)
         if table is None:
             wctx = self.wctx
             half = wctx.mpf(half)
-            pos = [(x, w) for x, w in _gl_nodes(wctx, degree) if x > 0]
-            ys = [half * (1 + sx * x) for x, _ in pos for sx in (1, -1)]
+            centre, rows = _gk_nodes(wctx, degree)
+            ys = [half * (1 + sx * x) for x, _, _ in rows for sx in (1, -1)] + [half]
             table = (
-                [x for x, _ in pos],
+                [x for x, _, _ in rows],
                 [self._fixed(y) for y in ys],
-                [self._fixed(w) for _, w in pos for _ in (1, -1)],
+                [self._fixed(wk) for _, wk, _ in rows for _ in (1, -1)] + [self._fixed(centre)],
+                [self._fixed(wg) for _, _, wg in rows for _ in (1, -1)] + [0],
                 [self._fixed(wctx.expm1(self.rate * y)) for y in ys],
             )
             table = self.nodes.setdefault(key, table)
@@ -494,11 +419,12 @@ class _FrameRule:
 
     def _panel_table(self, degree, half):
         """The node table and cos and sin of f y at its nodes: at
-        y = half (1 +- x) the angle f half +- f half x, by angle addition."""
+        y = half (1 +- x) the angle f half +- f half x, by angle addition,
+        and f half itself at the centre."""
         key = (degree, half)
         table = self.panels.get(key)
         if table is None:
-            xs, yf, wf, ef = self._node_table(degree, half)
+            xs, yf, kf, gf, ef = self._node_table(degree, half)
             bits = self.bits
             half = self.wctx.mpf(half)
             c0, s0 = self._cos_sin(half)
@@ -507,7 +433,7 @@ class _FrameRule:
                 c, s = self._cos_sin(half * x)
                 cf += [(c0 * c - s0 * s) >> bits, (c0 * c + s0 * s) >> bits]
                 sf += [(s0 * c + c0 * s) >> bits, (s0 * c - c0 * s) >> bits]
-            table = self.panels[key] = (yf, wf, ef, cf, sf)
+            table = self.panels[key] = (yf, kf, gf, ef, cf + [c0], sf + [s0])
         return table
 
     def _start(self, a):
@@ -527,23 +453,29 @@ class _FrameRule:
     def __call__(self, a, b, degree):
         # b - a is exact, since a = 0 or b <= 2a
         half = (b - a) / 2
-        yf, wf, ef, cf, sf = self._panel_table(degree, half)
+        yf, kf, gf, ef, cf, sf = self._panel_table(degree, half)
         at, g, ca, sa, ea = self._start(a)
         p = self.p
-        acc = 0
+        k_acc = g_acc = 0
         # a + y is held at F bits, so its p-th power at pF, sin(f u) at 2F
         # and expm1(rate y) + G at F: the lift brings each quotient to F
         # bits with one floor
         if self.cosine:
             lift = (p + 2) * self.bits
-            for y, w, e, c, s in zip(yf, wf, ef, cf, sf):
+            for y, wk, wg, e, c, s in zip(yf, kf, gf, ef, cf, sf):
                 t = sa * c + ca * s
-                acc += w * ((2 * (at + y) ** p * t * t) // ((e + g) << lift))
+                q = (2 * (at + y) ** p * t * t) // ((e + g) << lift)
+                k_acc += wk * q
+                g_acc += wg * q
         else:
             lift = p * self.bits
-            for y, w, e, c, s in zip(yf, wf, ef, cf, sf):
-                acc += w * (((at + y) ** p * (sa * c + ca * s)) // ((e + g) << lift))
-        return self.ctx.mpf(ea * self.wctx.from_fixed(acc, 2 * self.bits) * half)
+            for y, wk, wg, e, c, s in zip(yf, kf, gf, ef, cf, sf):
+                q = ((at + y) ** p * (sa * c + ca * s)) // ((e + g) << lift)
+                k_acc += wk * q
+                g_acc += wg * q
+        return tuple(
+            self.ctx.mpf(ea * self.wctx.from_fixed(acc, 2 * self.bits) * half) for acc in (k_acc, g_acc)
+        )
 
 
 def _oscillatory(ctx, p, freq, cosine, tol, bud):

@@ -20,6 +20,7 @@ from cmlab import (
     PrecisionContext,
     cos_kernel_integral,
     f_kernel,
+    laplace,
     polygamma,
     remainder_jet,
     sin_kernel_integral,
@@ -44,16 +45,19 @@ KERNEL_DIGITS = (40, 130, 50)
 # the oscillatory integrals on unit panels (v <= pi, whose tables go to the
 # module caches), on panels pi/v wide, and the sine moments
 QUADRATURE_DIGITS = (30, 45)
+# a Laplace transform and a cosine kernel integral per thread, whose first
+# panels fill the Gauss-Legendre and Gauss-Kronrod node caches
+KRONROD_DIGITS = (20, 35)
 
 _SCRIPT = """
 import json, sys, threading
 sys.setswitchinterval(1e-6)
 from cmlab import (
-    K_kernel, PrecisionContext, bernoulli, cos_kernel_integral, f_kernel, polygamma,
+    K_kernel, PrecisionContext, bernoulli, cos_kernel_integral, f_kernel, laplace, polygamma,
     remainder_jet, sin_kernel_integral)
 
 (THREADS, MAX_BERNOULLI, DIGITS, JET_DIGITS, JET_NS, TAYLOR_DIGITS, KERNEL_DIGITS,
- QUADRATURE_DIGITS) = (%d, %d, range(%d, %d), %r, range(%d, %d), %r, %r, %r)
+ QUADRATURE_DIGITS, KRONROD_DIGITS) = (%d, %d, range(%d, %d), %r, range(%d, %d), %r, %r, %r, %r)
 
 
 def bernoulli_fill():
@@ -98,12 +102,26 @@ def oscillatory():
     return out
 
 
+def kronrod():
+    out = []
+    for d in KRONROD_DIGITS:
+        ctx = PrecisionContext(d)
+        tol = ctx.mpf(10) ** (5 - d)
+        for res in (
+            laplace(ctx, lambda v: ctx.exp(-v), "1.5", tol, kernel_bound=1),
+            cos_kernel_integral(ctx, 1, "2", tol),
+        ):
+            out.append(repr((res.value, res.est_error, res.evaluations)))
+    return out
+
+
 work = {
     "bernoulli": bernoulli_fill,
     "polygamma": polygamma_sweep,
     "jet": jets,
     "kernel": kernels,
     "quadrature": oscillatory,
+    "kronrod": kronrod,
 }[sys.argv[1]]
 barrier = threading.Barrier(THREADS)
 errors = []
@@ -135,6 +153,7 @@ print(json.dumps({"errors": errors, "threads": results, "after": work()}))
     TAYLOR_DIGITS,
     KERNEL_DIGITS,
     QUADRATURE_DIGITS,
+    KRONROD_DIGITS,
 )
 
 
@@ -205,6 +224,21 @@ def test_oscillatory_tables_filled_concurrently_match_single_thread():
             cos_kernel_integral(ctx, 2, "1.5", tol),
             cos_kernel_integral(ctx, 2, "7", tol),
             sin_kernel_integral(ctx, 2, "1", tol),
+        ):
+            single.append(repr((res.value, res.est_error, res.evaluations)))
+    _assert_all_equal(result, single)
+
+
+def test_kronrod_tables_filled_concurrently_match_single_thread():
+    # the node caches start empty in the fresh interpreter
+    result = _race_in_fresh_interpreter("kronrod")
+    single = []
+    for d in KRONROD_DIGITS:
+        ctx = PrecisionContext(d)
+        tol = ctx.mpf(10) ** (5 - d)
+        for res in (
+            laplace(ctx, lambda v: ctx.exp(-v), "1.5", tol, kernel_bound=1),
+            cos_kernel_integral(ctx, 1, "2", tol),
         ):
             single.append(repr((res.value, res.est_error, res.evaluations)))
     _assert_all_equal(result, single)

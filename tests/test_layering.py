@@ -28,6 +28,7 @@ LAYERS = (
     "gammakit",
     "remainders",
     "kernels",
+    "nodes",
     "quadrature",
     "cmdegree",
     "verify",
@@ -86,8 +87,8 @@ def test_no_import_inside_a_function(name):
 
 @pytest.mark.parametrize("name", LAYERS + ("__init__",))
 def test_no_import_from_mpmath_calculus(name):
-    # quadrature makes its own Gauss-Legendre nodes; mpmath's quadrature
-    # classes serve the tests only, as an oracle
+    # nodes makes quadrature's Gauss-Legendre and Gauss-Kronrod rules;
+    # mpmath's quadrature classes serve the tests only, as an oracle
     found = []
     for node in ast.walk(_tree(name)):
         if isinstance(node, ast.ImportFrom):
